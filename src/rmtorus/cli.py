@@ -10,8 +10,7 @@ Inputs follow a small grammar: theta as "(p+q*sqrtD)/r" (integer literals,
 e.g. "(1+sqrt5)/2", "sqrt2", "(-5+sqrt5)/10"), complex numbers as "a+bi"
 (e.g. "0.3+1.1i"), g as a JSON 2x2 integer matrix.  A JSON config file may
 supply any long option (keys use underscores); explicit flags win over the
-config, which wins over defaults.  Precision: --precision {double,extended},
-with the NCT_PRECISION environment variable filling in when no flag is given.
+config, which wins over defaults.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coord_ring, heis_module
-from .heis_rep import (FiniteHeisenberg, FiniteVector, RealHeisenberg, SchwartzVector,
-                       holomorphic_residual, holomorphic_vector)
-from .precision import set_precision
+from .heis_rep import FiniteHeisenberg, RealHeisenberg, holomorphic_residual, holomorphic_vector
 from .qfield import QuadIrr, RMData, SL2Matrix, cf_expand, fixing_matrix, multiplier_ring
 from .theta import theta_const, theta_fn
 from .torus_alg import TorusElement, phase
@@ -97,7 +94,6 @@ _DEFAULTS = {
 def _resolve(sub: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     opts = dict(_DEFAULTS.get(sub, {}))
-    opts.setdefault("precision", None)
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -121,14 +117,15 @@ def _require(opts: dict, key: str, sub: str):
     return opts[key]
 
 
-def _setup_precision(opts: dict):
-    name = opts.get("precision")
-    if name is None:
-        return  # precision module already consulted NCT_PRECISION at import
+def _int_of(val, name: str, low: int) -> int:
+    """An integer option value that is at least ``low``; anything else is bad input."""
     try:
-        set_precision(str(name))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        n = int(val)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or (n != val and not isinstance(val, str)) or n < low:
+        raise InputError(f"--{name.replace('_', '-')} must be an integer >= {low}, got {val!r}")
+    return n
 
 
 def _tau_of(opts: dict, sub: str) -> complex:
@@ -145,7 +142,8 @@ def _data_of(opts: dict, sub: str) -> RMData:
     gspec = opts.get("g")
     try:
         if gspec is None:
-            g = fixing_matrix(theta, max_trace=int(opts.get("max_trace", 10 ** 7)))
+            max_trace = _int_of(opts.get("max_trace", 10 ** 7), "max_trace", 1)
+            g = fixing_matrix(theta, max_trace=max_trace)
         else:
             g = parse_matrix(gspec if isinstance(gspec, str) else json.dumps(gspec))
             return RMData(theta, g)
@@ -162,7 +160,7 @@ def _cmd_fix(opts: dict) -> dict:
     if theta.is_rational:
         raise InputError("theta must be a quadratic irrationality, not rational")
     try:
-        g = fixing_matrix(theta, max_trace=int(opts.get("max_trace", 10 ** 7)))
+        g = fixing_matrix(theta, max_trace=_int_of(opts["max_trace"], "max_trace", 1))
     except ValueError as exc:
         raise ToleranceError(f"no fixing matrix found: {exc}") from None
     data = RMData(theta, g)
@@ -191,10 +189,10 @@ def _cmd_fix(opts: dict) -> dict:
 
 def _cmd_algebra(opts: dict) -> dict:
     theta = parse_theta(str(_require(opts, "theta", "algebra")))
-    count = int(opts.get("count", 100))
-    support = int(opts.get("support", 20))
+    count = _int_of(opts["count"], "count", 1)
+    support = _int_of(opts["support"], "support", 1)
     tol = float(opts.get("tol", 1e-12))
-    rng = np.random.default_rng(int(opts.get("seed", 0)))
+    rng = np.random.default_rng(_int_of(opts["seed"], "seed", 0))
 
     def rand_elem():
         coeffs = {}
@@ -242,7 +240,10 @@ def _cmd_module_check(opts: dict) -> dict:
     tol = float(opts.get("tol", 1e-12))
     degrees = opts.get("degrees", "1,2")
     if isinstance(degrees, str):
-        degrees = [int(t) for t in degrees.split(",") if t.strip()]
+        degrees = [t for t in degrees.split(",") if t.strip()]
+    if not isinstance(degrees, list):
+        degrees = [degrees]
+    degrees = [_int_of(t, "degrees", 1) for t in degrees]
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
     worst = 0.0
@@ -321,14 +322,12 @@ def _cmd_theta(opts: dict) -> dict:
 def _cmd_ring(opts: dict) -> dict:
     data = _data_of(opts, "ring")
     tau = _tau_of(opts, "ring")
-    max_degree = int(opts.get("max_degree", 3))
-    if max_degree < 1:
-        raise InputError("max-degree must be >= 1")
+    max_degree = _int_of(opts["max_degree"], "max_degree", 1)
     try:
         report = coord_ring.ring_report(
             data, tau, max_degree=max_degree,
-            assoc_triples=int(opts.get("assoc_triples", 20)),
-            seed=int(opts.get("seed", 0)),
+            assoc_triples=_int_of(opts["assoc_triples"], "assoc_triples", 0),
+            seed=_int_of(opts["seed"], "seed", 0),
         )
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--precision", choices=["double", "extended"], default=None)
         p.add_argument("--config", default=None, help="JSON file of option defaults")
         p.add_argument("--output", default=None, help="also write the report to this path")
 
@@ -407,7 +405,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         opts = _resolve(args.command, args)
-        _setup_precision(opts)
         report = _RUNNERS[args.command](opts)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

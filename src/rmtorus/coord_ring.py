@@ -2,9 +2,11 @@
 
 B = C.1 (+) R_1 (+) R_2 (+) ... where the degree-n piece is spanned by
 f_{tau,n} (x) delta_j for j mod c_n, f_{tau,n} the holomorphic Gaussian of the
-degree-n module.  Multiplication is the balanced product of heis_module,
-re-expanded in the holomorphic basis by an L2 projection on the sampling
-grid; every product carries a closure residual that the reports surface.
+degree-n module.  The product is fixed by its structure tensors: T(m, n) holds
+the balanced products of heis_module of all basis pairs R_m x R_n, each
+re-expanded in the R_{m+n} basis by an L2 projection on the sampling grid, with
+a closure residual per pair that the reports surface.  mult contracts those
+tensors; a memo dict keyed by (m, n) lets one report build each tensor once.
 
 The degree-0 piece is a formal unit line: the matrix power g^0 has c_0 = 0 and
 no module realizes it, so scalars act by plain rescaling.
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .heis_module import ModuleElement, balanced_product, holomorphic_element
-from .heis_rep import FiniteVector
 from .qfield import RMData
 from .theta import theta_const
 
@@ -39,12 +40,6 @@ def piece_dim(n: int, data: RMData) -> int:
     if n == 0:
         return 1
     return data.power(n).c
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    degree: int
-    dimension: int
 
 
 class RingElement:
@@ -102,13 +97,6 @@ class RingElement:
     def scaled(self, z) -> "RingElement":
         return RingElement(self.data, self.tau, {n: z * v for n, v in self.coeffs.items()})
 
-    def to_module(self, n: int) -> ModuleElement:
-        """Degree-n piece as a module element (single holomorphic term)."""
-        if n == 0:
-            raise ValueError("the unit piece has no module realization")
-        vec = self.piece(n)
-        return holomorphic_element(self.data, n, self.tau, weights=FiniteVector(vec))
-
     def distance(self, other: "RingElement") -> float:
         ns = set(self.coeffs) | set(other.coeffs)
         if not ns:
@@ -157,8 +145,14 @@ def _expand(prod: ModuleElement, data: RMData, tau: complex, N: int):
     return vec, worst
 
 
-def mult(u: RingElement, v: RingElement, tol: float = 1e-9):
-    """Graded product; returns (RingElement, report with residuals)."""
+def mult(u: RingElement, v: RingElement, tensors: dict | None = None):
+    """Graded product; returns (RingElement, report with residuals).
+
+    Each pair of positive degrees (p, q) contracts the structure tensor
+    T(p, q), taken from ``tensors`` when given (and stored there when built).
+    The per-pair residual and condition are the tensor's worst basis-product
+    values.
+    """
     if u.data != v.data or u.tau != v.tau:
         raise ValueError("operands must share RMData and tau")
     data, tau = u.data, u.tau
@@ -177,13 +171,12 @@ def mult(u: RingElement, v: RingElement, tol: float = 1e-9):
             if q == 0:
                 acc(p, vq[0] * up)
                 continue
-            prod, prep = balanced_product(u.to_module(p), v.to_module(q), tol=tol)
-            vec, res = _expand(prod, data, tau, p + q)
-            acc(p + q, vec)
-            res = max(res, prep["max_residual"])
-            report["pairs"].append({"degrees": [p, q], "residual": res, "cond": prep["max_cond"]})
+            st = _cached_tensor(tensors, p, q, data, tau)
+            acc(p + q, st.contract(up, vq))
+            res = st.max_residual
+            report["pairs"].append({"degrees": [p, q], "residual": res, "cond": st.max_cond})
             report["max_residual"] = max(report["max_residual"], res)
-            report["max_cond"] = max(report["max_cond"], prep["max_cond"])
+            report["max_cond"] = max(report["max_cond"], st.max_cond)
     return RingElement(data, tau, out), report
 
 
@@ -222,6 +215,15 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e
             res[k, l] = max(r, prep["max_residual"])
             max_cond = max(max_cond, prep["max_cond"])
     return StructureTensor((m, n), T, res, max_cond)
+
+
+def _cached_tensor(tensors: dict | None, m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
+    """T(m, n) from the memo ``tensors`` (keyed by (m, n)), built and stored on a miss."""
+    if tensors is None:
+        return structure_tensor(m, n, data, tau)
+    if (m, n) not in tensors:
+        tensors[(m, n)] = structure_tensor(m, n, data, tau)
+    return tensors[(m, n)]
 
 
 def cyclic_shifts(m: int, n: int, data: RMData) -> tuple[int, int, int]:
@@ -268,13 +270,13 @@ def _numerical_rank(M: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def check_generation(data: RMData, tau: complex, N: int, rank_tol: float = 1e-8) -> dict:
+def check_generation(data: RMData, tau: complex, N: int, rank_tol: float = 1e-8,
+                     tensors: dict | None = None) -> dict:
     """Surjectivity of R_1 (x) R_n -> R_{n+1} for n < N, by numerical rank."""
     out = {"max_degree": N, "per_degree": [], "generated": True}
-    tensors = {}
+    used = {}
     for n in range(1, N):
-        st = structure_tensor(1, n, data, tau)
-        tensors[(1, n)] = st
+        st = used[(1, n)] = _cached_tensor(tensors, 1, n, data, tau)
         cN = piece_dim(n + 1, data)
         M = st.tensor.reshape(cN, -1)
         rank = _numerical_rank(M, rank_tol)
@@ -284,7 +286,7 @@ def check_generation(data: RMData, tau: complex, N: int, rank_tol: float = 1e-8)
             "surjective": ok, "residual": st.max_residual,
         })
         out["generated"] = out["generated"] and ok
-    out["tensors"] = tensors
+    out["tensors"] = used
     return out
 
 
@@ -296,13 +298,14 @@ def _null_space(M: np.ndarray, rel_tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7) -> dict:
+def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
+                    tensors: dict | None = None) -> dict:
     """Degree-3 quadraticity: span(K(x)R_1 + R_1(x)K) = ker(mu_3), K = ker(mu_2)."""
     c1 = piece_dim(1, data)
     c2 = piece_dim(2, data)
     c3 = piece_dim(3, data)
-    t11 = structure_tensor(1, 1, data, tau)
-    t21 = structure_tensor(2, 1, data, tau)
+    t11 = _cached_tensor(tensors, 1, 1, data, tau)
+    t21 = _cached_tensor(tensors, 2, 1, data, tau)
     M2 = t11.tensor.reshape(c2, c1 * c1)
     K = _null_space(M2, rank_tol)
     dim_K = K.shape[1]
@@ -340,8 +343,15 @@ def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7) -> dict:
     return report
 
 
-def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: int = 0) -> float:
-    """Worst relative defect of (uv)w vs u(vw) over random degree-1 triples."""
+def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: int = 0,
+                           tensors: dict | None = None) -> float:
+    """Worst relative defect of (uv)w vs u(vw) over random degree-1 triples.
+
+    (uv)w contracts T(2,1) with T(1,1) and u(vw) contracts T(1,2) with T(1,1);
+    T(1,2) and T(2,1) come from separate balanced products.
+    """
+    if tensors is None:
+        tensors = {}
     rng = np.random.default_rng(seed)
     c1 = piece_dim(1, data)
     worst = 0.0
@@ -350,10 +360,10 @@ def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: 
             RingElement.from_piece(data, tau, 1, rng.normal(size=c1) + 1j * rng.normal(size=c1))
             for _ in range(3)
         )
-        uv, _ = mult(u, v)
-        lhs, _ = mult(uv, w)
-        vw, _ = mult(v, w)
-        rhs, _ = mult(u, vw)
+        uv, _ = mult(u, v, tensors)
+        lhs, _ = mult(uv, w, tensors)
+        vw, _ = mult(v, w, tensors)
+        rhs, _ = mult(u, vw, tensors)
         worst = max(worst, lhs.distance(rhs) / max(rhs.norm(), 1e-300))
     return worst
 
@@ -393,9 +403,14 @@ def theta_match_report(st: StructureTensor, tau: complex, l_max: int = 4,
 
 def ring_report(data: RMData, tau: complex, max_degree: int = 3,
                 assoc_triples: int = 20, seed: int = 0) -> dict:
-    """Full JSON-ready summary used by the command line runner."""
+    """Full JSON-ready summary used by the command line runner.
+
+    Each structure tensor is built once per call, in a memo that the checks
+    share and that is dropped on return.
+    """
+    memo: dict = {}
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
-    gen = check_generation(data, tau, max_degree)
+    gen = check_generation(data, tau, max_degree, tensors=memo)
     tensors = []
     for (m, n), st in gen["tensors"].items():
         tensors.append({
@@ -408,11 +423,11 @@ def ring_report(data: RMData, tau: complex, max_degree: int = 3,
         "dims": dims,
         "generation": [d["surjective"] for d in gen["per_degree"]],
         "generation_detail": gen["per_degree"],
-        "assoc_residual": associativity_residual(data, tau, assoc_triples, seed),
+        "assoc_residual": associativity_residual(data, tau, assoc_triples, seed, memo),
         "tensors": tensors,
     }
     if gen["generated"] and max_degree >= 3:
-        quad = check_quadratic(data, tau)
+        quad = check_quadratic(data, tau, tensors=memo)
         report["quadratic"] = quad["quadratic"]
         report["quadratic_detail"] = {k: v for k, v in quad.items() if k != "quadratic"}
     else:

@@ -41,13 +41,12 @@ matched_product computes directly as a certified theta-like sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .heis_rep import FiniteVector, GaussianAtom, SchwartzVector
-from .qfield import QuadIrr, RMData, rank_value
+from .qfield import QuadIrr, RMData
 from .torus_alg import TorusElement
 
 _TWO_PI_I = 2j * math.pi
@@ -267,12 +266,6 @@ def left_act(a, xi: ModuleElement) -> ModuleElement:
 # -- connections ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionValue:
-    direction: int
-    result: ModuleElement
-
-
 def connection(i: int, xi: ModuleElement) -> ModuleElement:
     """nabla_1 = multiplication by 2*pi*i*x/eps_n, nabla_2 = d/dx."""
     eps = xi.consts.eps
@@ -290,10 +283,6 @@ def curvature(xi: ModuleElement) -> ModuleElement:
 
 def curvature_scalar(data: RMData, degree: int) -> complex:
     return -_TWO_PI_I / data.power(degree).eps
-
-
-def rank(data: RMData, degree: int) -> QuadIrr:
-    return rank_value(data.g, degree, data.theta)
 
 
 def holomorphic_element(data: RMData, degree: int, tau: complex, k: int = 0,

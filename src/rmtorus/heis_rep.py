@@ -471,25 +471,6 @@ class FiniteHeisenberg:
         return True
 
 
-# -- free-function entry points ------------------------------------------------
-
-
-def group_mul(group, h1, h2):
-    return group.mul(h1, h2)
-
-
-def act_real(group: RealHeisenberg, h: HeisElement, f: SchwartzVector) -> SchwartzVector:
-    return group.act(h, f)
-
-
-def act_finite(group: FiniteHeisenberg, h: FiniteHeisElement, phi: FiniteVector) -> FiniteVector:
-    return group.act(h, phi)
-
-
-def isotropic_check(group: FiniteHeisenberg, generators) -> str:
-    return group.isotropic_check(generators)
-
-
 def lie_derivative(f: SchwartzVector, which: str, eps: float) -> SchwartzVector:
     """Derivative of the real representation along the standard Lie basis.
 
@@ -540,7 +521,3 @@ def holomorphic_residual(tau: complex, f: SchwartzVector, eps: float) -> Schwart
             res[j] = acc
         out.append(GaussianAtom(tuple(res), at.alpha, at.beta))
     return SchwartzVector(out)
-
-
-def eval_vector(f: SchwartzVector, x):
-    return f.eval(x)

@@ -10,7 +10,7 @@ so equality, hashing and comparisons are structural.  All predicates that the
 rest of the package relies on (signs, floors, lattice membership, fixed-point
 checks) are decided in integer arithmetic; floats only appear when a value is
 explicitly converted via ``to_float``/``float()``, which evaluates sqrt(D)
-with mpmath scratch precision before rounding.
+with 35 digits of mpmath scratch precision before rounding.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
-
-from .precision import working_dps
 
 _RATIONAL_D = 2
 
@@ -291,7 +289,7 @@ class QuadIrr:
     # -- numeric conversion --------------------------------------------------
 
     def to_mpf(self) -> mpmath.mpf:
-        with mpmath.workdps(working_dps()):
+        with mpmath.workdps(35):
             val = (mpmath.mpf(self.p) + mpmath.mpf(self.q) * mpmath.sqrt(self.D)) / self.r
             return +val
 

@@ -181,19 +181,3 @@ class TorusElement:
         theta = QuadIrr.from_json_dict(theta) if isinstance(theta, dict) else float(theta)
         coeffs = {(int(c["n"]), int(c["m"])): complex(c["re"], c["im"]) for c in d["coeffs"]}
         return cls(theta, coeffs)
-
-
-def multiply(x: TorusElement, y: TorusElement) -> TorusElement:
-    return x * y
-
-
-def star(x: TorusElement) -> TorusElement:
-    return x.star()
-
-
-def trace(x: TorusElement) -> complex:
-    return x.trace()
-
-
-def derive(x: TorusElement, which: str, tau: complex | None = None) -> TorusElement:
-    return x.derive(which, tau)

@@ -4,7 +4,6 @@ import pytest
 
 from rmtorus import cli
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
-from rmtorus.precision import get_precision, set_precision
 
 
 def _run(capsys, *argv):
@@ -90,12 +89,26 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["notacommand"])
     assert exc.value.code == 2
-
-
-def test_bad_precision_choice(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["fix", "--theta", "sqrt2", "--precision", "quad"])
+        main(["fix", "--theta", "sqrt2", "--precision", "extended"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "0"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "abc"], None),
+    (["algebra", "--theta", "sqrt2"], {"count": "abc"}),
+    (["algebra", "--theta", "sqrt2", "--support", "-3"], None),
+])
+def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 # -- determinism and output --------------------------------------------------------
@@ -244,16 +257,3 @@ def test_ring_wrong_matrix_for_theta(capsys):
     code, _, err = _run(capsys, "ring", "--theta", "sqrt2",
                         "--g", "[[2,1],[1,1]]", "--tau", "0.3+1.1i")
     assert code == 2
-
-
-# -- precision flag ---------------------------------------------------------------------
-
-def test_precision_flag_applies(capsys):
-    before = get_precision()
-    try:
-        code, out, _ = _run(capsys, "fix", "--theta", "sqrt2",
-                            "--precision", "extended")
-        assert code == 0
-        assert get_precision() == "extended"
-    finally:
-        set_precision(before)

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rmtorus import coord_ring
 from rmtorus.cli import _json_default
 from rmtorus.coord_ring import (
+    _expand,
     RingElement,
     associativity_residual,
     check_generation,
@@ -17,6 +19,8 @@ from rmtorus.coord_ring import (
     structure_tensor,
     theta_match_report,
 )
+from rmtorus.heis_module import balanced_product, holomorphic_element
+from rmtorus.heis_rep import FiniteVector
 from rmtorus.qfield import QuadIrr, RMData
 
 TEST5 = RMData(QuadIrr.parse("(-5+sqrt5)/10"))
@@ -60,17 +64,35 @@ def test_grading(t11):
 
 
 def test_tensor_contract_matches_mult(t11):
+    # mult contracts t11; the contraction agrees with one balanced product of
+    # dense-weight elements, the route that builds no tensor
     rng = np.random.default_rng(31)
     for _ in range(5):
         x = rng.normal(size=5) + 1j * rng.normal(size=5)
         y = rng.normal(size=5) + 1j * rng.normal(size=5)
-        u = RingElement.from_piece(TEST5, TAU, 1, x)
-        v = RingElement.from_piece(TEST5, TAU, 1, y)
-        prod, rep = mult(u, v)
+        prod, prep = balanced_product(
+            holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(x)),
+            holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(y)))
+        got, res = _expand(prod, TEST5, TAU, 2)
         want = t11.contract(x, y)
         scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(prod.piece(2) - want)) < 1e-10 * scale
-        assert rep["max_residual"] < 1e-8
+        assert np.max(np.abs(got - want)) < 1e-10 * scale
+        assert max(res, prep["max_residual"]) < 1e-8
+
+
+def test_ring_report_builds_each_tensor_once(monkeypatch):
+    built = []
+
+    def counting(m, n, data, tau, tol=1e-9):
+        built.append((m, n))
+        return structure_tensor(m, n, data, tau, tol)
+
+    monkeypatch.setattr(coord_ring, "structure_tensor", counting)
+    ring_report(TEST5, TAU, max_degree=3, assoc_triples=2)
+    assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
+    # a second report rebuilds them: no tensor outlives a call
+    ring_report(TEST5, TAU, max_degree=3, assoc_triples=2)
+    assert sorted(built) == sorted([(1, 1), (1, 2), (2, 1)] * 2)
 
 
 def test_structure_tensor_residuals(t11):

@@ -15,11 +15,10 @@ from rmtorus.heis_module import (
     left_act,
     matched_product,
     module_residuals,
-    rank,
     right_act,
 )
 from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector
-from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, unit_phase
+from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, rank_value, unit_phase
 from rmtorus.torus_alg import TorusElement
 
 GOLDEN = RMData(QuadIrr.parse("(1+sqrt5)/2"))
@@ -180,7 +179,7 @@ def test_rank_and_dimensions():
     # module rank equals c_n*theta + d_n > 0
     for data in ALL_DATA:
         for n in (1, 2, 3):
-            r = rank(data, n)
+            r = rank_value(data.g, n, data.theta)
             consts = data.power(n)
             assert r == data.theta * consts.c + consts.matrix.d
             assert r > 0

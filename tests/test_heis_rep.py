@@ -13,14 +13,9 @@ from rmtorus.heis_rep import (
     HeisElement,
     RealHeisenberg,
     SchwartzVector,
-    act_finite,
-    act_real,
     cis_turns,
-    eval_vector,
-    group_mul,
     holomorphic_residual,
     holomorphic_vector,
-    isotropic_check,
     lie_derivative,
 )
 
@@ -122,8 +117,8 @@ def test_real_representation_property():
     for _ in range(20):
         h1 = G.element(cmath.exp(2j * math.pi * rng.uniform()), *rng.uniform(-2, 2, 2))
         h2 = G.element(cmath.exp(2j * math.pi * rng.uniform()), *rng.uniform(-2, 2, 2))
-        lhs = act_real(G, h1, act_real(G, h2, f))
-        rhs = act_real(G, group_mul(G, h1, h2), f)
+        lhs = G.act(h1, G.act(h2, f))
+        rhs = G.act(G.mul(h1, h2), f)
         for x in XS:
             worst = max(worst, abs(lhs.eval(x) - rhs.eval(x)))
     assert worst < 1e-12
@@ -220,18 +215,16 @@ def test_act_matches_act_basis():
 def test_act_finite_wrapper_and_modulus_guard():
     G = FiniteHeisenberg(3)
     h = G.element(0, 1, 2)
-    phi = FiniteVector((1.0, 2.0, 3.0))
-    assert act_finite(G, h, phi) == G.act(h, phi)
     with pytest.raises(ValueError):
         G.act(h, FiniteVector((1.0, 2.0)))
 
 
 def test_isotropic_classification():
     G = FiniteHeisenberg(4)
-    assert isotropic_check(G, [(1, 0)]) == "maximal_isotropic"
-    assert isotropic_check(G, [(2, 0)]) == "isotropic"
-    assert isotropic_check(G, [(1, 0), (0, 1)]) == "neither"
-    assert isotropic_check(G, [(0, 2)]) == "isotropic"
+    assert G.isotropic_check([(1, 0)]) == "maximal_isotropic"
+    assert G.isotropic_check([(2, 0)]) == "isotropic"
+    assert G.isotropic_check([(1, 0), (0, 1)]) == "neither"
+    assert G.isotropic_check([(0, 2)]) == "isotropic"
 
 
 def test_pairing_nondegenerate_exhaustive():
@@ -285,8 +278,3 @@ def test_holomorphic_vector_validation():
         holomorphic_vector(1j, -2.0)
     with pytest.raises(ValueError):
         lie_derivative(_sample_vector(), "D", 1.0)
-
-
-def test_eval_vector_wrapper():
-    f = _sample_vector()
-    assert eval_vector(f, 0.25) == f.eval(0.25)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rmtorus.qfield import QuadIrr
-from rmtorus.torus_alg import TorusElement, derive, multiply, phase, star, trace
+from rmtorus.torus_alg import TorusElement, phase
 
 GOLDEN = QuadIrr.parse("(1+sqrt5)/2")
 TEST5 = QuadIrr.parse("(-5+sqrt5)/10")
@@ -83,12 +83,12 @@ def test_star_involution_and_antimultiplicativity():
 def test_trace_properties():
     rng = np.random.default_rng(4)
     one = TorusElement.unit(TEST5)
-    assert trace(one) == 1.0
+    assert one.trace() == 1.0
     for _ in range(20):
         x = _random_element(rng, TEST5, 12)
         y = _random_element(rng, TEST5, 12)
-        assert abs(trace(x * y) - trace(y * x)) < 1e-12
-        p = trace(x * x.star())
+        assert abs((x * y).trace() - (y * x).trace()) < 1e-12
+        p = (x * x.star()).trace()
         assert abs(p.imag) < 1e-12
         assert p.real >= 0.0
         # trace(x* x) recovers the l2 mass of the coefficients
@@ -125,8 +125,8 @@ def test_leibniz_rule():
         y = _random_element(rng, GOLDEN, 10)
         scale = max(1.0, x.norm1() * y.norm1())
         for which, arg in [("d1", None), ("d2", None), ("dtau", tau)]:
-            lhs = derive(x * y, which, arg)
-            rhs = derive(x, which, arg) * y + x * derive(y, which, arg)
+            lhs = (x * y).derive(which, arg)
+            rhs = x.derive(which, arg) * y + x * y.derive(which, arg)
             worst = max(worst, lhs.distance(rhs) / scale)
     assert worst < 1e-12
 
@@ -134,8 +134,8 @@ def test_leibniz_rule():
 def test_derivations_kill_trace():
     rng = np.random.default_rng(6)
     x = _random_element(rng, TEST5, 15)
-    assert trace(derive(x, "d1")) == 0.0
-    assert trace(derive(x, "d2")) == 0.0
+    assert x.derive("d1").trace() == 0.0
+    assert x.derive("d2").trace() == 0.0
 
 
 def test_phase_exact_on_quadirr():
@@ -166,13 +166,3 @@ def test_json_round_trip():
     assert y == x
     zf = TorusElement(0.25, {(1, 2): 1 - 1j})
     assert TorusElement.from_json_dict(zf.to_json_dict()) == zf
-
-
-def test_functional_wrappers_match_methods():
-    rng = np.random.default_rng(9)
-    x = _random_element(rng, GOLDEN, 6)
-    y = _random_element(rng, GOLDEN, 6)
-    assert multiply(x, y) == x * y
-    assert star(x) == x.star()
-    assert trace(x) == x.trace()
-    assert derive(x, "d1") == x.derive("d1")
