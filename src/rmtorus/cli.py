@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -87,7 +88,7 @@ _DEFAULTS = {
     "module-check": {"tau": "0.3+1.1i", "degrees": "1,2", "tol": 1e-12},
     "theta": {"tol": 1e-14},
     "ring": {"tau": "0.3+1.1i", "max_degree": 3, "assoc_triples": 20, "seed": 0,
-             "tol": 1e-9, "theta_diagnostic": False},
+             "theta_diagnostic": False},
 }
 
 
@@ -126,6 +127,17 @@ def _int_of(val, name: str, low: int) -> int:
     if n is None or (n != val and not isinstance(val, str)) or n < low:
         raise InputError(f"--{name.replace('_', '-')} must be an integer >= {low}, got {val!r}")
     return n
+
+
+def _tol_of(val) -> float:
+    """A tolerance option value: a finite number > 0; anything else is bad input."""
+    try:
+        tol = float(val)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be a finite number > 0, got {val!r}")
+    return tol
 
 
 def _tau_of(opts: dict, sub: str) -> complex:
@@ -191,7 +203,7 @@ def _cmd_algebra(opts: dict) -> dict:
     theta = parse_theta(str(_require(opts, "theta", "algebra")))
     count = _int_of(opts["count"], "count", 1)
     support = _int_of(opts["support"], "support", 1)
-    tol = float(opts.get("tol", 1e-12))
+    tol = _tol_of(opts["tol"])
     rng = np.random.default_rng(_int_of(opts["seed"], "seed", 0))
 
     def rand_elem():
@@ -237,7 +249,7 @@ def _cmd_algebra(opts: dict) -> dict:
 def _cmd_module_check(opts: dict) -> dict:
     data = _data_of(opts, "module-check")
     tau = _tau_of(opts, "module-check")
-    tol = float(opts.get("tol", 1e-12))
+    tol = _tol_of(opts["tol"])
     degrees = opts.get("degrees", "1,2")
     if isinstance(degrees, str):
         degrees = [t for t in degrees.split(",") if t.strip()]
@@ -302,7 +314,7 @@ def _cmd_theta(opts: dict) -> dict:
     m = parse_complex(str(_require(opts, "m", "theta")))
     if not m.imag > 0:
         raise InputError("m must have positive imaginary part")
-    tol = float(opts.get("tol", 1e-14))
+    tol = _tol_of(opts["tol"])
     z = opts.get("z")
     try:
         if z is None:
@@ -323,20 +335,21 @@ def _cmd_ring(opts: dict) -> dict:
     data = _data_of(opts, "ring")
     tau = _tau_of(opts, "ring")
     max_degree = _int_of(opts["max_degree"], "max_degree", 1)
+    memo: dict = {}
     try:
         report = coord_ring.ring_report(
             data, tau, max_degree=max_degree,
             assoc_triples=_int_of(opts["assoc_triples"], "assoc_triples", 0),
-            seed=_int_of(opts["seed"], "seed", 0),
+            seed=_int_of(opts["seed"], "seed", 0), tensors=memo,
         )
+        if opts.get("theta_diagnostic"):
+            st = coord_ring.cached_tensor(memo, 1, 1, data, tau)
+            report["theta_diagnostic"] = coord_ring.theta_match_report(st, tau)
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None
     out = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
            "g": data.g.to_list(), "tau": _complex_pair(tau)}
     out.update(report)
-    if opts.get("theta_diagnostic"):
-        st = coord_ring.structure_tensor(1, 1, data, tau)
-        out["theta_diagnostic"] = coord_ring.theta_match_report(st, tau)
     return out
 
 
@@ -393,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     p.add_argument("--assoc-triples", dest="assoc_triples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--theta-diagnostic", dest="theta_diagnostic",
                    action="store_const", const=True, default=None)
     common(p)

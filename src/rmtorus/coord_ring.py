@@ -128,21 +128,15 @@ def _holomorphic_grid(data: RMData, tau: complex, N: int):
     return us, fvals, float(np.vdot(fvals, fvals).real)
 
 
-def _expand(prod: ModuleElement, data: RMData, tau: complex, N: int):
-    """Project each delta component of ``prod`` on f_{tau,N}; vector + residual."""
-    us, fvals, denom = _holomorphic_grid(data, tau, N)
-    cN = data.power(N).c
-    vec = np.zeros(cN, dtype=complex)
-    worst = 0.0
+def _expand(prod: ModuleElement, grid):
+    """Project every delta component of ``prod`` on f_{tau,N}, sampled on
+    ``grid`` from _holomorphic_grid; vector + worst relative residual."""
+    us, fvals, denom = grid
     samples = prod.sample(us)
-    for j in range(cN):
-        h = samples[j]
-        cj = complex(np.vdot(fvals, h)) / denom
-        vec[j] = cj
-        hn = float(np.linalg.norm(h))
-        if hn > 0:
-            worst = max(worst, float(np.linalg.norm(h - cj * fvals)) / hn)
-    return vec, worst
+    vec = samples @ fvals.conj() / denom
+    hn = np.linalg.norm(samples, axis=1)
+    rn = np.linalg.norm(samples - np.outer(vec, fvals), axis=1)
+    return vec, float(np.max(rn[hn > 0] / hn[hn > 0], initial=0.0))
 
 
 def mult(u: RingElement, v: RingElement, tensors: dict | None = None):
@@ -171,7 +165,7 @@ def mult(u: RingElement, v: RingElement, tensors: dict | None = None):
             if q == 0:
                 acc(p, vq[0] * up)
                 continue
-            st = _cached_tensor(tensors, p, q, data, tau)
+            st = cached_tensor(tensors, p, q, data, tau)
             acc(p + q, st.contract(up, vq))
             res = st.max_residual
             report["pairs"].append({"degrees": [p, q], "residual": res, "cond": st.max_cond})
@@ -205,19 +199,20 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e
     T = np.zeros((cN, cm, cn), dtype=complex)
     res = np.zeros((cm, cn))
     max_cond = 1.0
+    grid = _holomorphic_grid(data, tau, m + n)
     for k in range(cm):
         xi = holomorphic_element(data, m, tau, k=k)
         for l in range(cn):
             eta = holomorphic_element(data, n, tau, k=l)
             prod, prep = balanced_product(xi, eta, tol=tol)
-            vec, r = _expand(prod, data, tau, m + n)
+            vec, r = _expand(prod, grid)
             T[:, k, l] = vec
             res[k, l] = max(r, prep["max_residual"])
             max_cond = max(max_cond, prep["max_cond"])
     return StructureTensor((m, n), T, res, max_cond)
 
 
-def _cached_tensor(tensors: dict | None, m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
+def cached_tensor(tensors: dict | None, m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
     """T(m, n) from the memo ``tensors`` (keyed by (m, n)), built and stored on a miss."""
     if tensors is None:
         return structure_tensor(m, n, data, tau)
@@ -276,7 +271,7 @@ def check_generation(data: RMData, tau: complex, N: int, rank_tol: float = 1e-8,
     out = {"max_degree": N, "per_degree": [], "generated": True}
     used = {}
     for n in range(1, N):
-        st = used[(1, n)] = _cached_tensor(tensors, 1, n, data, tau)
+        st = used[(1, n)] = cached_tensor(tensors, 1, n, data, tau)
         cN = piece_dim(n + 1, data)
         M = st.tensor.reshape(cN, -1)
         rank = _numerical_rank(M, rank_tol)
@@ -304,8 +299,8 @@ def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
     c1 = piece_dim(1, data)
     c2 = piece_dim(2, data)
     c3 = piece_dim(3, data)
-    t11 = _cached_tensor(tensors, 1, 1, data, tau)
-    t21 = _cached_tensor(tensors, 2, 1, data, tau)
+    t11 = cached_tensor(tensors, 1, 1, data, tau)
+    t21 = cached_tensor(tensors, 2, 1, data, tau)
     M2 = t11.tensor.reshape(c2, c1 * c1)
     K = _null_space(M2, rank_tol)
     dim_K = K.shape[1]
@@ -402,29 +397,28 @@ def theta_match_report(st: StructureTensor, tau: complex, l_max: int = 4,
 
 
 def ring_report(data: RMData, tau: complex, max_degree: int = 3,
-                assoc_triples: int = 20, seed: int = 0) -> dict:
+                assoc_triples: int = 20, seed: int = 0, tensors: dict | None = None) -> dict:
     """Full JSON-ready summary used by the command line runner.
 
-    Each structure tensor is built once per call, in a memo that the checks
-    share and that is dropped on return.
+    Each structure tensor is built once per call, in the memo ``tensors``
+    (keyed by (m, n)) that the checks share; without one, a memo is made and
+    dropped on return.
     """
-    memo: dict = {}
+    memo = {} if tensors is None else tensors
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
     gen = check_generation(data, tau, max_degree, tensors=memo)
-    tensors = []
-    for (m, n), st in gen["tensors"].items():
-        tensors.append({
-            "degrees": [m, n],
-            "shape": list(st.tensor.shape),
-            "max_residual": st.max_residual,
-            "cyclic_symmetry_residual": cyclic_symmetry_residual(st, data),
-        })
+    summaries = [{
+        "degrees": [m, n],
+        "shape": list(st.tensor.shape),
+        "max_residual": st.max_residual,
+        "cyclic_symmetry_residual": cyclic_symmetry_residual(st, data),
+    } for (m, n), st in gen["tensors"].items()]
     report = {
         "dims": dims,
         "generation": [d["surjective"] for d in gen["per_degree"]],
         "generation_detail": gen["per_degree"],
         "assoc_residual": associativity_residual(data, tau, assoc_triples, seed, memo),
-        "tensors": tensors,
+        "tensors": summaries,
     }
     if gen["generated"] and max_degree >= 3:
         quad = check_quadratic(data, tau, tensors=memo)

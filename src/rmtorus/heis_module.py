@@ -30,12 +30,14 @@ with x = (u - j*eps_N)/(c_n*eps_n) and y = (u - j*eps_N) + j*eps_n.  One
 checks directly from the operator table (using a_N = a_m*a_n + b_m*c_n,
 c_m*eps_m*c_n*eps_n = c_N*eps_N and eps_n - eps_N = c_m/(c_n*c_N)) that H is
 well defined in j mod c_N, balanced in the algebra action, and intertwines
-the degree-N operator table on (u, j).  H is then sampled on a deterministic
-grid and expanded in the Gaussian-atom basis inherited from the factors by a
-least-squares solve whose residual is reported; for matched holomorphic
-factors (alpha_i = tau/(2*eps_i)) the s-dependence of the u-linear phase
-cancels and the series collapses onto a single atom per j, which
-matched_product computes directly as a certified theta-like sum.
+the degree-N operator table on (u, j).  H is sampled for every j at once on a
+deterministic grid, its nonzero-weight (j, s) terms evaluated in fixed-size
+blocks, and expanded in the Gaussian-atom basis inherited from the factors by
+one least-squares solve with a right-hand side per j, whose per-j residuals
+are reported.  For matched holomorphic factors (alpha_i = tau/(2*eps_i)) the
+s-dependence of the u-linear phase cancels and the series collapses onto a
+single atom per j, which matched_product computes directly as a certified
+theta-like sum.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ from .torus_alg import TorusElement
 _TWO_PI_I = 2j * math.pi
 
 _COND_LIMIT = 1e12
+
+# (j, s) candidates, and (pairs x points) values, per block of balanced_product;
+# temporaries stay this size however large c_N times the s-window grows
+_BLOCK = 1 << 12
 
 
 class IllConditionedSolve(RuntimeError):
@@ -136,11 +142,7 @@ class ModuleElement:
         c = self.consts.c
         out = np.zeros((c, xs.size), dtype=complex)
         for s, f in self.terms:
-            vals = s.eval(xs)
-            for k in range(c):
-                w = f[k]
-                if w != 0:
-                    out[k] += w * vals
+            out += np.outer(f.entries, s.eval(xs))
         return out
 
     def sup_distance(self, other: "ModuleElement", xs) -> float:
@@ -326,9 +328,11 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     """Image of xi (x) eta in E_{g^{m+n}} plus a residual report.
 
     Averages the plain tensor over the relation group, samples the result on
-    the affine section described in the module docstring, and expands in the
-    Gaussian-atom basis inherited from the factors by least squares.  Returns
-    (ModuleElement of degree m+n, report dict); raises IllConditionedSolve
+    the affine section described in the module docstring for every output
+    index j at once, and expands in the Gaussian-atom basis inherited from the
+    factors by one least-squares solve with a right-hand side per j.  Returns
+    (ModuleElement of degree m+n with one term per basis column: its atom
+    times the column's coefficients over j, report dict); raises IllConditionedSolve
     when the expansion matrix has condition number above 1e12.
     """
     if xi.data != eta.data:
@@ -366,10 +370,8 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 
     pn = 1.0 / (cn * eps_n)
     basis_keys = sorted(cols.keys(), key=lambda ab: (ab[0].real, ab[0].imag, ab[1].real, ab[1].imag))
-    col_index: list[tuple[complex, complex, int]] = []
-    for alpha, beta in basis_keys:
-        for p in range(cols[(alpha, beta)] + 1):
-            col_index.append((alpha, beta, p))
+    col_index = [(alpha, beta, p) for alpha, beta in basis_keys
+                 for p in range(cols[(alpha, beta)] + 1)]
     B = np.empty((points, len(col_index)), dtype=complex)
     for idx, (alpha, beta, p) in enumerate(col_index):
         B[:, idx] = us ** p * np.exp(_TWO_PI_I * (alpha * us ** 2 + beta * us))
@@ -386,49 +388,49 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
         raise IllConditionedSolve(
             f"expansion basis condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}", report)
 
-    out_terms = []
     s_terms_max = 0
-    for j in range(cN):
-        x0 = -j * eps_N * pn
-        y0 = j * (eps_n - eps_N)
-        h = np.zeros(points, dtype=complex)
-        for s1, f1 in xi.terms:
-            for s2, f2 in eta.terms:
-                if s1.is_zero() or s2.is_zero():
-                    continue
-                centers = []
-                for a1 in s1.atoms:
-                    w0 = _atom_center(a1)
-                    centers += [(x0 - w0 - pn * halfwidth) / eps_m,
-                                (x0 - w0 + pn * halfwidth) / eps_m]
-                for a2 in s2.atoms:
-                    w0 = _atom_center(a2)
-                    centers += [cn * (w0 - y0 - halfwidth), cn * (w0 - y0 + halfwidth)]
-                s_lo = int(math.floor(min(centers))) - radius
-                s_hi = int(math.ceil(max(centers))) + radius
-                s_terms_max = max(s_terms_max, s_hi - s_lo + 1)
-                for s in range(s_lo, s_hi + 1):
-                    w = f1[(-s) % cm] * f2[(j + s * an) % cn]
-                    if w == 0:
-                        continue
-                    h += w * s1.eval(pn * us + x0 - s * eps_m) * s2.eval(us + y0 + s / cn)
-        coef, *_ = np.linalg.lstsq(B, h, rcond=None)
-        hn = float(np.linalg.norm(h))
-        res = float(np.linalg.norm(B @ coef - h)) / max(hn, 1e-300) if hn > 0 else 0.0
-        report["per_j_residual"].append(res)
-        atoms = []
-        for (alpha, beta), _deg in cols.items():
-            poly = [0j] * (cols[(alpha, beta)] + 1)
-            hit = False
-            for idx, (al, be, p) in enumerate(col_index):
-                if al == alpha and be == beta and coef[idx] != 0:
-                    poly[p] = coef[idx]
-                    hit = True
-            if hit:
-                atoms.append(GaussianAtom(tuple(poly), alpha, beta))
-        sv = SchwartzVector(atoms)
-        if not sv.is_zero():
-            out_terms.append((sv, FiniteVector.delta(cN, j)))
+    H = np.zeros((cN, points), dtype=complex)
+    js = np.arange(cN)
+    x0 = -js * eps_N * pn
+    y0 = js * (eps_n - eps_N)
+    rows = max(1, _BLOCK // points)
+    for s1, f1 in xi.terms:
+        for s2, f2 in eta.terms:
+            if s1.is_zero() or s2.is_zero():
+                continue
+            # s-window of every j, then its (j, s) pairs walked in blocks; only
+            # pairs of nonzero weight are evaluated, and added in (j, s) order
+            centers = [(x0 - _atom_center(a1) + sg * pn * halfwidth) / eps_m
+                       for a1 in s1.atoms for sg in (-1, 1)]
+            centers += [cn * (_atom_center(a2) - y0 + sg * halfwidth)
+                        for a2 in s2.atoms for sg in (-1, 1)]
+            s_lo = np.floor(np.min(centers, axis=0)).astype(int) - radius
+            counts = np.ceil(np.max(centers, axis=0)).astype(int) + radius - s_lo + 1
+            s_terms_max = max(s_terms_max, int(counts.max()))
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            w1, w2 = np.array(f1.entries), np.array(f2.entries)
+            for c0 in range(0, starts[-1], _BLOCK):
+                cand = np.arange(c0, min(c0 + _BLOCK, starts[-1]))
+                j = np.searchsorted(starts, cand, side="right") - 1
+                s = s_lo[j] + cand - starts[j]
+                w = w1[(-s) % cm] * w2[(j + s * an) % cn]
+                hit = np.flatnonzero(w)
+                for b in range(0, hit.size, rows):
+                    p = hit[b:b + rows]
+                    jp, sp = j[p], s[p]
+                    vals = (w[p, None]
+                            * s1.eval(pn * us + x0[jp, None] - sp[:, None] * eps_m)
+                            * s2.eval(us + y0[jp, None] + sp[:, None] / cn))
+                    np.add.at(H, jp, vals)
+    coef = np.linalg.lstsq(B, H.T, rcond=None)[0]
+    hn = np.linalg.norm(H, axis=1)
+    rn = np.linalg.norm(B @ coef - H.T, axis=0)
+    report["per_j_residual"] = [float(r) / max(float(h), 1e-300) if h > 0 else 0.0
+                                for r, h in zip(rn, hn)]
+    # one term per basis column: the column's atom times its coefficients over j
+    out_terms = [(SchwartzVector.of(GaussianAtom((0,) * p + (1,), alpha, beta)),
+                  FiniteVector(row))
+                 for (alpha, beta, p), row in zip(col_index, coef) if np.any(row)]
     report["s_terms"] = s_terms_max
     report["max_residual"] = max(report["per_j_residual"], default=0.0)
     report["max_cond"] = cond

@@ -31,7 +31,8 @@ _MAX_TERMS = 10**7
 @dataclass(frozen=True)
 class ThetaQuery:
     """A theta evaluation request: characteristic r, modular parameter m,
-    optional elliptic argument z, and a certified tolerance."""
+    optional elliptic argument z, and a certified tolerance.  theta_const and
+    theta_fn validate their arguments through it."""
 
     r: Fraction
     m: complex
@@ -41,8 +42,8 @@ class ThetaQuery:
     def __post_init__(self):
         if self.m.imag <= 0:
             raise ValueError("modular parameter must lie in the upper half-plane")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def _certify_terms(bound_at, tol: float) -> int:
 
 def theta_const(r, m: complex, tol: float = 1e-14) -> ThetaResult:
     """theta_r(m) with certified truncation error below tol."""
-    if m.imag <= 0:
-        raise ValueError("modular parameter must lie in the upper half-plane")
+    ThetaQuery(Fraction(r), m, tol=tol)
     t = m.imag
     N = _certify_terms(lambda n: tail_bound(n, r, t), tol)
     return ThetaResult(theta_partial(r, m, N), tail_bound(N, r, t), N)
@@ -126,8 +126,7 @@ def _fn_tail_bound(N: int, rr: Fraction, t: float, w: float) -> float:
 
 def theta_fn(r, z: complex, m: complex, tol: float = 1e-14) -> ThetaResult:
     """Two-variable series sum_n exp[pi*i*(n+r)^2*m + 2*pi*i*(n+r)*z], certified."""
-    if m.imag <= 0:
-        raise ValueError("modular parameter must lie in the upper half-plane")
+    ThetaQuery(Fraction(r), m, complex(z), tol)
     t = m.imag
     w = abs(z.imag) if isinstance(z, complex) else 0.0
     z = complex(z)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rmtorus import cli
+from rmtorus import cli, coord_ring
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
 
 
@@ -108,6 +108,28 @@ def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["theta", "--r", "1/3", "--m", "0+2i", "--tol=0"], None),
+    (["theta", "--r", "1/3", "--m", "0+2i", "--tol=nan"], None),
+    (["theta", "--r", "1/3", "--m", "0+2i", "--tol=-1"], None),
+    (["theta", "--r", "1/4", "--m", "0.3+1.1i", "--z", "0.1+0.2i", "--tol=inf"], None),
+    (["algebra", "--theta", "sqrt2", "--count", "2", "--tol", "nan"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--tol", "nan"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10"], {"tol": "abc"}),
+])
+def test_bad_tolerance_exits_2(tmp_path, capsys, argv, config):
+    # a tolerance <= 0 or NaN would certify nothing or switch the residual gate off
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
     assert "Traceback" not in err
 
 
@@ -251,6 +273,28 @@ def test_ring_small_run(capsys):
     assert rep["assoc_residual"] < 1e-8
     assert rep["quadratic"] is None
     assert payload["config"]["max_degree"] == 2
+
+
+def test_ring_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "--theta", "(-5+sqrt5)/10", "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
+    built = []
+    build = coord_ring.structure_tensor
+
+    def counting(m, n, data, tau, tol=1e-9):
+        built.append((m, n))
+        return build(m, n, data, tau, tol)
+
+    monkeypatch.setattr(coord_ring, "structure_tensor", counting)
+    code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
+                        "--assoc-triples", "1", "--theta-diagnostic")
+    assert code == 0
+    assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
+    assert _report(out)[0]["theta_diagnostic"]
 
 
 def test_ring_wrong_matrix_for_theta(capsys):

@@ -7,6 +7,7 @@ from rmtorus import coord_ring
 from rmtorus.cli import _json_default
 from rmtorus.coord_ring import (
     _expand,
+    _holomorphic_grid,
     RingElement,
     associativity_residual,
     check_generation,
@@ -73,7 +74,7 @@ def test_tensor_contract_matches_mult(t11):
         prod, prep = balanced_product(
             holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(x)),
             holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(y)))
-        got, res = _expand(prod, TEST5, TAU, 2)
+        got, res = _expand(prod, _holomorphic_grid(TEST5, TAU, 2))
         want = t11.contract(x, y)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) < 1e-10 * scale

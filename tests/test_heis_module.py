@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from rmtorus.heis_module import (
     IllConditionedSolve,
+    _atom_center,
+    _pair_columns,
     ModuleElement,
     balanced_product,
     connection,
@@ -308,3 +311,103 @@ def test_ill_conditioned_solve_reports():
         balanced_product(xi, eta)
     assert exc.value.report["cond"] > 1e12
     assert "grid_points" in exc.value.report
+
+
+# -- the blocked kernel against the per-(j, s) loop ------------------------------------
+
+def _reference_product(xi, eta, report):
+    """balanced_product as a plain loop over output index j and series index s.
+
+    Grid and truncation radius are read from ``report``; every j gets its own
+    least-squares solve.  Returns (samples of shape (c_N, points), report).
+    """
+    data = xi.data
+    km, kn, kN = data.power(xi.degree), data.power(eta.degree), data.power(xi.degree + eta.degree)
+    cm, cn, cN = km.c, kn.c, kN.c
+    pn = 1.0 / (cn * kn.eps)
+    hw, points = report["grid_halfwidth"], report["grid_points"]
+    radius = report["truncation_radius"]
+    us = np.linspace(-hw, hw, points)
+    cols = _pair_columns(xi, eta)
+    keys = sorted(cols, key=lambda ab: (ab[0].real, ab[0].imag, ab[1].real, ab[1].imag))
+    B = np.column_stack([us ** p * np.exp(2j * math.pi * (alpha * us ** 2 + beta * us))
+                         for alpha, beta in keys for p in range(cols[(alpha, beta)] + 1)])
+    out = np.zeros((cN, points), dtype=complex)
+    per_j, s_terms = [], 0
+    for j in range(cN):
+        x0 = -j * kN.eps * pn
+        y0 = j * (kn.eps - kN.eps)
+        h = np.zeros(points, dtype=complex)
+        for s1, f1 in xi.terms:
+            for s2, f2 in eta.terms:
+                if s1.is_zero() or s2.is_zero():
+                    continue
+                centers = []
+                for a1 in s1.atoms:
+                    w0 = _atom_center(a1)
+                    centers += [(x0 - w0 - pn * hw) / km.eps, (x0 - w0 + pn * hw) / km.eps]
+                for a2 in s2.atoms:
+                    w0 = _atom_center(a2)
+                    centers += [cn * (w0 - y0 - hw), cn * (w0 - y0 + hw)]
+                s_lo = int(math.floor(min(centers))) - radius
+                s_hi = int(math.ceil(max(centers))) + radius
+                s_terms = max(s_terms, s_hi - s_lo + 1)
+                for s in range(s_lo, s_hi + 1):
+                    w = f1[(-s) % cm] * f2[(j + s * kn.a) % cn]
+                    if w != 0:
+                        h += w * s1.eval(pn * us + x0 - s * km.eps) * s2.eval(us + y0 + s / cn)
+        coef = np.linalg.lstsq(B, h, rcond=None)[0]
+        hn = float(np.linalg.norm(h))
+        per_j.append(float(np.linalg.norm(B @ coef - h)) / hn if hn > 0 else 0.0)
+        out[j] = B @ coef
+    return out, {"s_terms": s_terms, "grid_points": points, "columns": B.shape[1],
+                 "per_j_residual": per_j}
+
+
+def _multi_atom(data, degree):
+    # several terms with shifted, modulated and degree-1 atoms
+    theta = data.theta
+    a = TorusElement(theta, {(1, 0): 0.6, (0, 1): 0.3 - 0.2j, (0, 0): 1.0})
+    xi = _probe(data, degree)
+    return right_act(a, xi) + connection(1, xi).scaled(0.05)
+
+
+def _deltas(m, k, n, ll):
+    return holomorphic_element(TEST5, m, TAU, k=k), holomorphic_element(TEST5, n, TAU, k=ll)
+
+
+_KERNEL_CASES = {
+    "delta-11": lambda: _deltas(1, 1, 1, 3),
+    "delta-12": lambda: _deltas(1, 2, 2, 7),
+    "delta-21": lambda: _deltas(2, 4, 1, 0),
+    "dense-12": lambda: (_probe(TEST5, 1), _probe(TEST5, 2)),
+    "dense-golden-11": lambda: (_probe(GOLDEN, 1), _probe(GOLDEN, 1)),
+    "multi-atom-11": lambda: (_multi_atom(TEST5, 1), left_act("U", _probe(TEST5, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_balanced_product_matches_per_index_loop(case):
+    xi, eta = _KERNEL_CASES[case]()
+    prod, report = balanced_product(xi, eta)
+    want, ref = _reference_product(xi, eta, report)
+    us = np.linspace(-report["grid_halfwidth"], report["grid_halfwidth"], report["grid_points"])
+    got = prod.sample(us)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for key in ("s_terms", "grid_points", "columns"):
+        assert report[key] == ref[key], key
+    assert len(report["per_j_residual"]) == len(ref["per_j_residual"]) == prod.consts.c
+    assert np.allclose(report["per_j_residual"], ref["per_j_residual"], rtol=0, atol=1e-12)
+
+
+def test_balanced_product_memory_is_blocked():
+    # evaluating every nonzero (j, s) pair at once peaks near 43 MB here, in
+    # blocks near 1.3 MB
+    xi, eta = _probe(TEST5, 1), _probe(TEST5, 2)
+    tracemalloc.start()
+    try:
+        balanced_product(xi, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -101,6 +101,16 @@ def test_rejects_lower_half_plane():
         ThetaQuery(Fraction(0), 1j, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        theta_const(Fraction(1, 3), 2j, tol=tol)
+    with pytest.raises(ValueError):
+        theta_fn(Fraction(1, 4), 0.1 + 0.2j, 0.3 + 1.1j, tol=tol)
+    with pytest.raises(ValueError):
+        ThetaQuery(Fraction(0), 1j, tol=tol)
+
+
 def test_uncertifiable_raises():
     with pytest.raises(RuntimeError):
         theta_const(0, complex(0, 1e-300))
