@@ -9,8 +9,9 @@ or tolerance failure.
 Inputs follow a small grammar: theta as "(p+q*sqrtD)/r" (integer literals,
 e.g. "(1+sqrt5)/2", "sqrt2", "(-5+sqrt5)/10"), complex numbers as "a+bi"
 (e.g. "0.3+1.1i"), g as a JSON 2x2 integer matrix.  A JSON config file may
-supply any long option (keys use underscores); explicit flags win over the
-config, which wins over defaults.
+supply any long option of the subcommand (keys use underscores; any other key
+is an input error); explicit flags win over the config, which wins over
+defaults.
 """
 
 from __future__ import annotations
@@ -82,19 +83,23 @@ def _complex_pair(z: complex) -> list[float]:
 
 # -- option resolution ---------------------------------------------------------
 
+# The keys a --config file may set: these and the subcommand's own flags.
+# max_trace is config-only for module-check and ring; a None default is left
+# out of the echoed config.
 _DEFAULTS = {
     "fix": {"max_trace": 10 ** 7},
     "algebra": {"count": 100, "support": 20, "seed": 0, "tol": 1e-12},
-    "module-check": {"tau": "0.3+1.1i", "degrees": "1,2", "tol": 1e-12},
+    "module-check": {"tau": "0.3+1.1i", "degrees": "1,2", "tol": 1e-12, "max_trace": None},
     "theta": {"tol": 1e-14},
     "ring": {"tau": "0.3+1.1i", "max_degree": 3, "assoc_triples": 20, "seed": 0,
-             "theta_diagnostic": False},
+             "theta_diagnostic": False, "max_trace": None},
 }
 
 
 def _resolve(sub: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     opts = dict(_DEFAULTS.get(sub, {}))
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "output")}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -103,10 +108,11 @@ def _resolve(sub: str, args: argparse.Namespace) -> dict:
             raise InputError(f"cannot read config {args.config!r}: {exc}") from None
         if not isinstance(loaded, dict):
             raise InputError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(opts) - set(flags))
+        if unknown:
+            raise InputError(f"{sub}: unknown config key(s) {', '.join(map(repr, unknown))}")
         opts.update(loaded)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "output"):
-            continue
+    for key, val in flags.items():
         if val is not None:
             opts[key.replace("-", "_")] = val
     return opts
@@ -154,7 +160,8 @@ def _data_of(opts: dict, sub: str) -> RMData:
     gspec = opts.get("g")
     try:
         if gspec is None:
-            max_trace = _int_of(opts.get("max_trace", 10 ** 7), "max_trace", 1)
+            max_trace = opts.get("max_trace")
+            max_trace = 10 ** 7 if max_trace is None else _int_of(max_trace, "max_trace", 1)
             g = fixing_matrix(theta, max_trace=max_trace)
         else:
             g = parse_matrix(gspec if isinstance(gspec, str) else json.dumps(gspec))
@@ -284,20 +291,7 @@ def _cmd_module_check(opts: dict) -> dict:
     report["heisenberg"] = {"real_rep_property": rep_real}
     worst = max(worst, rep_real)
     if c1 <= 6:
-        Gc = FiniteHeisenberg(c1)
-        exact = True
-        for m1 in range(c1):
-            for m2 in range(c1):
-                for p1 in range(c1):
-                    for p2 in range(c1):
-                        h1 = Gc.element(Fraction(1, 3), m1, m2)
-                        h2 = Gc.element(Fraction(2, 5), p1, p2)
-                        h12 = Gc.mul(h1, h2)
-                        for k in range(c1):
-                            t2, k2 = Gc.act_basis(h2, k)
-                            t1, k1 = Gc.act_basis(h1, k2)
-                            if Gc.act_basis(h12, k) != ((t1 + t2) % 1, k1):
-                                exact = False
+        exact = FiniteHeisenberg(c1).representation_exact(Fraction(1, 3), Fraction(2, 5))
         report["heisenberg"]["finite_rep_exact"] = exact
         if not exact:
             worst = max(worst, 1.0)

@@ -12,7 +12,9 @@ psi(x, y) = e((x1*y2 - y1*x2)/(2*eps))) and over K = (Z/cZ)^2 (cocycle
 psi = e((n1*m2 - m1*n2)/(2c))).  The finite group keeps its central phase as
 an exact Fraction of a turn, so composition laws and the representation
 property can be checked in exact rational arithmetic; complex numbers appear
-only when a vector entry is finally produced.
+only when a vector entry is finally produced.  One integer kernel (numerators
+mod a multiple of 2c) carries the group law for single elements and for the
+whole-group check alike.
 
 The representation on f in S(R) is U_{(lam, y)} f(x) = lam * e((x*y2 +
 y1*y2/2)/eps) * f(x + y1); on C(Z/cZ) it is U phi([n]) = lam * e((n*m2 +
@@ -321,6 +323,41 @@ class HeisElement:
         object.__setattr__(self, "y", (float(self.y[0]), float(self.y[1])))
 
 
+# -- integer kernel of the finite Heisenberg group ------------------------------
+#
+# A central phase of t/L turns is kept as its numerator t mod L, with L a
+# multiple of 2c so that every cocycle and action phase is a whole number of
+# 1/L turns.  _canon, _mul and _act are the only place the group law is
+# written down; they take Python ints or integer numpy arrays alike.
+
+
+def _turns_scale(c: int, *turns: Fraction) -> int:
+    """Smallest L that is a multiple of 2c and of every denominator."""
+    return math.lcm(2 * c, *(t.denominator for t in turns))
+
+
+def _numerator(t: Fraction, L: int) -> int:
+    return t.numerator * (L // t.denominator)
+
+
+def _canon(t, m1, m2, c: int, L: int):
+    """Reduce a lift (t, m) to m in [0, c)^2, folding the half-turn correction into t."""
+    k1, r1 = m1 // c, m1 % c
+    k2, r2 = m2 // c, m2 % c
+    return (t + L // 2 * (k1 * r2 + k2 * r1 + c * k1 * k2)) % L, r1, r2
+
+
+def _mul(t, m1, m2, s, p1, p2, c: int, L: int):
+    """(t, m) * (s, p) with cocycle (m1*p2 - p1*m2)/(2c), canonical."""
+    return _canon(t + s + L // (2 * c) * (m1 * p2 - p1 * m2), m1 + p1, m2 + p2, c, L)
+
+
+def _act(t, m1, m2, k, c: int, L: int):
+    """U_{(t, m)} delta_k = e(phase/L) delta_n with n = k - m1: returns (phase, n)."""
+    n = (k - m1) % c
+    return (t + L // (2 * c) * (2 * n * m2 + m1 * m2)) % L, n
+
+
 @dataclass(frozen=True)
 class FiniteHeisElement:
     """Element of Heis((Z/cZ)^2): exact central phase in turns and a pair mod c.
@@ -337,11 +374,10 @@ class FiniteHeisElement:
     c: int
 
     def __post_init__(self):
-        c = self.c
-        k1, r1 = divmod(self.m[0], c)
-        k2, r2 = divmod(self.m[1], c)
-        corr = Fraction(k1 * r2 + k2 * r1 + c * k1 * k2, 2)
-        object.__setattr__(self, "turns", (Fraction(self.turns) + corr) % 1)
+        turns = Fraction(self.turns)
+        L = _turns_scale(self.c, turns)
+        t, r1, r2 = _canon(_numerator(turns, L), self.m[0], self.m[1], self.c, L)
+        object.__setattr__(self, "turns", Fraction(t, L))
         object.__setattr__(self, "m", (r1, r2))
 
     @property
@@ -399,29 +435,46 @@ class FiniteHeisenberg:
         return Fraction(x[0] * y[1] - y[0] * x[1], self.c) % 1
 
     def mul(self, h1: FiniteHeisElement, h2: FiniteHeisElement) -> FiniteHeisElement:
-        turns = h1.turns + h2.turns + self.cocycle_turns(h1.m, h2.m)
-        return self.element(turns, h1.m[0] + h2.m[0], h1.m[1] + h2.m[1])
+        L = _turns_scale(self.c, h1.turns, h2.turns)
+        t, r1, r2 = _mul(_numerator(h1.turns, L), *h1.m, _numerator(h2.turns, L), *h2.m,
+                         self.c, L)
+        return FiniteHeisElement(Fraction(t, L), (r1, r2), self.c)
 
     def inverse(self, h: FiniteHeisElement) -> FiniteHeisElement:
         return self.element(-h.turns, -h.m[0], -h.m[1])
 
     def act_basis(self, h: FiniteHeisElement, k: int) -> tuple[Fraction, int]:
         """Exact action on a basis delta: U delta_k = e(turns) * delta_index."""
-        m1, m2 = h.m
-        n = (k - m1) % self.c
-        turns = (h.turns + Fraction(2 * n * m2 + m1 * m2, 2 * self.c)) % 1
-        return turns, n
+        L = _turns_scale(self.c, h.turns)
+        t, n = _act(_numerator(h.turns, L), *h.m, k, self.c, L)
+        return Fraction(t, L), n
 
     def act(self, h: FiniteHeisElement, phi: FiniteVector) -> FiniteVector:
         """(U phi)[n] = lam * e((n*m2 + m1*m2/2)/c) * phi[n + m1]."""
         if phi.c != self.c:
             raise ValueError("vector modulus does not match the group")
-        m1, m2 = h.m
-        out = []
-        for n in range(self.c):
-            turns = (h.turns + Fraction(2 * n * m2 + m1 * m2, 2 * self.c)) % 1
-            out.append(cis_turns(turns) * phi[n + m1])
+        out = [0j] * self.c
+        for k in range(self.c):
+            turns, n = self.act_basis(h, k)
+            out[n] = cis_turns(turns) * phi[k]
         return FiniteVector(out)
+
+    def representation_exact(self, z1, z2) -> bool:
+        """U_{h1} U_{h2} = U_{h1 h2} on every basis vector, for every h1 = (z1, m)
+        and h2 = (z2, p) with m, p in (Z/cZ)^2, exactly in numerators mod L."""
+        c = self.c
+        z1, z2 = Fraction(z1), Fraction(z2)
+        L = _turns_scale(c, z1, z2)
+        # with a, b in [0, L) the kernel's intermediates stay below 4*L*c in
+        # magnitude; past int64 the arrays hold exact Python ints instead
+        dtype = np.int64 if 4 * L * c < 2 ** 62 else object
+        m1, m2, p1, p2, k = np.indices((c,) * 5).astype(dtype)
+        a, b = _numerator(z1, L) % L, _numerator(z2, L) % L
+        t12, q1, q2 = _mul(a, m1, m2, b, p1, p2, c, L)
+        t, n = _act(t12, q1, q2, k, c, L)
+        t2, n2 = _act(b, p1, p2, k, c, L)
+        t1, n1 = _act(a, m1, m2, n2, c, L)
+        return bool(np.all((t1 + t2) % L == t) and np.all(n1 == n))
 
     def subgroup(self, generators) -> set[tuple[int, int]]:
         elems = {(0, 0)}

@@ -15,6 +15,7 @@ with 35 digits of mpmath scratch precision before rounding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -654,14 +655,12 @@ class ModuleConstants:
         return self.matrix.d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def unit_phase(t: QuadIrr, k: int = 1) -> complex:
     """e(k*t) = exp(2*pi*i*k*t), evaluated after exact reduction of k*t mod 1.
 
     The reduction keeps the argument in [0, 1) no matter how large k*t is, so
     the phase is accurate to rounding even for huge exact numerators.
     """
-    import cmath
-
     frac = (t * k).frac()
     return cmath.exp(2j * math.pi * float(frac))

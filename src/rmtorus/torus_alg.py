@@ -103,10 +103,14 @@ class TorusElement:
         if not isinstance(other, TorusElement):
             return NotImplemented
         self._check_same(other)
+        # one exact phase per distinct exponent m*p, not one per term pair
+        ms = {m for _, m in self.coeffs}
+        ps = {p for p, _ in other.coeffs}
+        conj = {k: phase(self.theta, k).conjugate() for k in {m * p for m in ms for p in ps}}
         out: dict[tuple[int, int], complex] = {}
         for (n, m), a in self.coeffs.items():
             for (p, q), b in other.coeffs.items():
-                w = a * b * phase(self.theta, m * p).conjugate()
+                w = a * b * conj[m * p]
                 key = (n + p, m + q)
                 out[key] = out.get(key, 0.0) + w
         return TorusElement(self.theta, out)

@@ -118,21 +118,8 @@ def test_criterion_04_heisenberg_representation():
         worst = max(worst, float(np.max(np.abs(lhs.eval(xs) - rhs.eval(xs)))) / scale)
     real_ok = worst < 1e-12
 
-    finite_ok = True
-    for c in range(1, 7):
-        G = FiniteHeisenberg(c)
-        for m1 in range(c):
-            for m2 in range(c):
-                for p1 in range(c):
-                    for p2 in range(c):
-                        h1 = G.element(Fraction(1, 3), m1, m2)
-                        h2 = G.element(Fraction(2, 7), p1, p2)
-                        h12 = G.mul(h1, h2)
-                        for k in range(c):
-                            t2, k2 = G.act_basis(h2, k)
-                            t1, k1 = G.act_basis(h1, k2)
-                            if G.act_basis(h12, k) != ((t1 + t2) % 1, k1):
-                                finite_ok = False
+    finite_ok = all(FiniteHeisenberg(c).representation_exact(Fraction(1, 3), Fraction(2, 7))
+                    for c in range(1, 7))
 
     nondeg_ok = all(FiniteHeisenberg(c).pairing_nondegenerate() for c in range(1, 13))
     ok = real_ok and finite_ok and nondeg_ok

@@ -173,6 +173,37 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert payload["config"]["max_trace"] == 1000
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["algebra", "--theta", "sqrt2"], {"suport": 5}),
+    (["ring", "--theta", "(-5+sqrt5)/10"], {"tol": 1e-3, "bogus_key": 5}),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, argv, config):
+    # a misspelt or removed option would otherwise be ignored and echoed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    for key in config:
+        assert repr(key) in err
+
+
+def test_config_takes_every_option_of_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": "sqrt2", "count": 2, "support": 3, "seed": 4,
+                               "tol": 1e-12}))
+    code, out, _ = _run(capsys, "algebra", "--config", str(cfg))
+    assert code == 0
+    assert _report(out)[1]["config"] == {"theta": "sqrt2", "count": 2, "support": 3,
+                                         "seed": 4, "tol": 1e-12}
+    # max_trace is a config-only option of module-check and ring
+    cfg.write_text(json.dumps({"theta": "(-5+sqrt5)/10", "max_trace": 2}))
+    code, _, err = _run(capsys, "module-check", "--config", str(cfg), "--degrees", "1")
+    assert code == 2
+    assert "trace <= 2" in err
+
+
 def test_config_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1,2,3]")

@@ -147,23 +147,43 @@ def test_heis_element_modulus_enforced():
 
 # -- finite Heisenberg group ------------------------------------------------------
 
-def test_finite_rep_property_exhaustive_exact():
-    # U_{h1} U_{h2} = U_{h1 h2} on every basis vector, as exact rationals
-    for c in range(1, 7):
+def _representation_by_elements(G, z1, z2) -> bool:
+    """The per-element check through mul and act_basis: U_{h1} U_{h2} delta_k
+    = U_{h1 h2} delta_k for every h1 = (z1, m), h2 = (z2, p) and k."""
+    c = G.c
+    for m1 in range(c):
+        for m2 in range(c):
+            for p1 in range(c):
+                for p2 in range(c):
+                    h1 = G.element(z1, m1, m2)
+                    h2 = G.element(z2, p1, p2)
+                    h12 = G.mul(h1, h2)
+                    for k in range(c):
+                        t2, k2 = G.act_basis(h2, k)
+                        t1, k1 = G.act_basis(h1, k2)
+                        if G.act_basis(h12, k) != ((t1 + t2) % 1, k1):
+                            return False
+    return True
+
+
+@pytest.mark.parametrize("z1, z2", [(0, 0), (Fraction(1, 3), Fraction(2, 5)),
+                                    (Fraction(1, 3), Fraction(2, 7))],
+                         ids=["0-0", "1_3-2_5", "1_3-2_7"])
+def test_finite_rep_property_exhaustive_exact(z1, z2):
+    # U_{h1} U_{h2} = U_{h1 h2} on every basis vector, as exact rationals, by
+    # elements and by the whole-group integer check
+    for c in range(1, 9):
         G = FiniteHeisenberg(c)
-        for m1 in range(c):
-            for m2 in range(c):
-                for n1 in range(c):
-                    for n2 in range(c):
-                        h1 = G.element(0, m1, m2)
-                        h2 = G.element(0, n1, n2)
-                        h12 = G.mul(h1, h2)
-                        for k in range(c):
-                            t2, i2 = G.act_basis(h2, k)
-                            t1, i1 = G.act_basis(h1, i2)
-                            tp, ip = G.act_basis(h12, k)
-                            assert (t1 + t2) % 1 == tp
-                            assert i1 == ip
+        assert _representation_by_elements(G, z1, z2)
+        assert G.representation_exact(z1, z2)
+
+
+def test_representation_exact_beyond_int64():
+    # a denominator that pushes L*c past int64 switches to exact Python ints;
+    # a huge numerator is reduced mod L and stays on int64
+    G = FiniteHeisenberg(5)
+    assert G.representation_exact(Fraction(1, 10 ** 30 + 7), Fraction(-2, 5))
+    assert G.representation_exact(Fraction(10 ** 20 + 1, 3), Fraction(2, 7))
 
 
 def test_finite_mul_associative_and_inverse_exact():

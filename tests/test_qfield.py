@@ -243,6 +243,14 @@ def test_unit_phase_periodicity():
     assert abs(abs(z1) - 1.0) < 1e-15
 
 
+def test_unit_phase_cache_is_bounded():
+    assert unit_phase.cache_info().maxsize is not None
+    before = [unit_phase(t, k) for t in ALL_THETAS for k in (-61, 1, 3600)]
+    unit_phase.cache_clear()
+    assert unit_phase.cache_info().currsize == 0
+    assert [unit_phase(t, k) for t in ALL_THETAS for k in (-61, 1, 3600)] == before
+
+
 def test_json_round_trip():
     for theta in ALL_THETAS:
         assert QuadIrr.from_json_dict(theta.to_json_dict()) == theta

@@ -3,12 +3,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rmtorus.qfield import QuadIrr
 from rmtorus.torus_alg import TorusElement, phase
 
 GOLDEN = QuadIrr.parse("(1+sqrt5)/2")
 TEST5 = QuadIrr.parse("(-5+sqrt5)/10")
+
+_SQUAREFREE = [D for D in range(2, 201) if all(D % (k * k) for k in range(2, 15))]
+# (p + q*sqrt(D))/r over random squarefree D <= 200; q = 0 gives rationals
+quad_irrs = st.builds(QuadIrr, st.integers(-60, 60), st.integers(-9, 9),
+                      st.integers(1, 40), st.sampled_from(_SQUAREFREE))
+# exponents up to +-60, so that m*p*theta needs its exact reduction mod 1
+supports = st.dictionaries(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    max_size=12,
+)
+
+
+def _reference_mul(x, y):
+    """The per-term product: one phase() call for every pair of terms."""
+    out = {}
+    for (n, m), a in x.coeffs.items():
+        for (p, q), b in y.coeffs.items():
+            w = a * b * phase(x.theta, m * p).conjugate()
+            key = (n + p, m + q)
+            out[key] = out.get(key, 0.0) + w
+    return TorusElement(x.theta, out)
 
 
 def _random_element(rng, theta, support=20):
@@ -37,6 +61,22 @@ def test_monomial_product_rule():
     assert z.support() == {(1, 7)}
     expected = 3.0 * phase(theta, 3 * -1).conjugate()
     assert abs(z.coeffs[(1, 7)] - expected) < 1e-15
+
+
+@given(theta=st.one_of(quad_irrs, st.floats(-10, 10)), xs=supports, ys=supports)
+@example(theta=GOLDEN, xs={}, ys={(3, -60): 1 + 2j})
+@example(theta=GOLDEN, xs={(-7, 41): -0.5j}, ys={})
+@example(theta=0.3178, xs={}, ys={})
+def test_product_matches_per_term_reference(theta, xs, ys):
+    # the phase table changes no arithmetic: same coefficients, same key order
+    x, y = TorusElement(theta, xs), TorusElement(theta, ys)
+    got, want = x * y, _reference_mul(x, y)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+@given(quad_irrs)
+def test_quadirr_parse_round_trip(t):
+    assert QuadIrr.parse(str(t)) == t
 
 
 def test_unit_is_identity():
