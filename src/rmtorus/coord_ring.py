@@ -3,10 +3,23 @@
 B = C.1 (+) R_1 (+) R_2 (+) ... where the degree-n piece is spanned by
 f_{tau,n} (x) delta_j for j mod c_n, f_{tau,n} the holomorphic Gaussian of the
 degree-n module.  The product is fixed by its structure tensors: T(m, n) holds
-the balanced products of heis_module of all basis pairs R_m x R_n, each
-re-expanded in the R_{m+n} basis by an L2 projection on the sampling grid, with
-a closure residual per pair that the reports surface.  mult contracts those
-tensors; a memo dict keyed by (m, n) lets one report build each tensor once.
+the balanced products (heis_module) of all basis pairs R_m x R_n in the
+R_{m+n} basis, and every entry is a theta constant with an exact label.  For
+delta_k in R_m, delta_l in R_n and output index j mod c_N, N = m + n, the
+averaging series of the balanced product has the u-independent exponent
+pi*i*tau*lambda*(s + j*c_m/c_N)^2 with lambda = c_N/(c_m*c_n), summed over the
+s with s = -k mod c_m and j + s*a_n = l mod c_n.  Those s form one coset
+s0 + PZ, P the least P > 0 with c_m | P and c_n | P*a_n, hence
+
+    T[j, k, l] = theta_r(lambda*P^2*tau),   r = (s0 + j*c_m/c_N)/P,
+
+and T[j, k, l] = 0 when the coset is empty.  lambda*P^2 is an integer and r is
+kept as an integer numerator over P*c_N.  Each distinct label is evaluated
+once by theta.theta_const, and its certified tail plus the rounding bound of
+the partial sum bound every entry that shares it.  One basis pair per tensor
+is also multiplied by balanced_product and expanded on a sampling grid, as an
+independent witness.  mult contracts the tensors; a memo dict keyed by
+(m, n) lets one report build each tensor once.
 
 The degree-0 piece is a formal unit line: the matrix power g^0 has c_0 = 0 and
 no module realizes it, so scalars act by plain rescaling.
@@ -14,23 +27,26 @@ no module realizes it, so scalars act by plain rescaling.
 check_generation and check_quadratic implement the two desk-checkable ring
 conditions: surjectivity of R_1 (x) R_n -> R_{n+1} by numerical rank, and the
 degree-3 quadraticity comparison span(K (x) R_1 + R_1 (x) K) = ker(mu_3) with
-K = ker(mu_2).  Structure-constant magnitudes can be compared against theta
-constants; that report is diagnostic only, since no normalization of the
-(r, l) labels is fixed here.
+K = ker(mu_2).  The cyclic symmetry of the structure constants is an identity
+of the labels; theta_match_report lists the labels of the largest entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .heis_module import ModuleElement, balanced_product, holomorphic_element
 from .qfield import RMData
-from .theta import theta_const
+from .theta import rounding_bound, theta_const
 
 _TWO_PI_I = 2j * math.pi
+
+# truncation tolerance of each label's theta constant, below its rounding error
+_THETA_TOL = 1e-16
 
 
 def piece_dim(n: int, data: RMData) -> int:
@@ -181,35 +197,61 @@ def mult(u: RingElement, v: RingElement, tensors: dict | None = None):
 class StructureTensor:
     degrees: tuple[int, int]
     tensor: np.ndarray            # shape (c_{m+n}, c_m, c_n)
-    residuals: np.ndarray         # shape (c_m, c_n)
-    max_cond: float = 1.0
-    notes: list = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if self.residuals.size else 0.0
+    labels: np.ndarray            # numerators of r over `denominator`, -1 where T is 0
+    denominator: int              # P * c_{m+n}
+    level: int                    # lambda * P^2: the entries are theta_r(level * tau)
+    max_residual: float           # relative to max|T|, see structure_tensor
+    entry_bound: float            # certified absolute error of every entry
+    max_cond: float               # condition number of the witness's expansion
 
     def contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("jkl,k,l->j", self.tensor, x, y)
 
 
-def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e-9) -> StructureTensor:
-    """Products of all basis pairs R_m x R_n expanded over the R_{m+n} basis."""
+def tensor_labels(m: int, n: int, data: RMData) -> tuple[np.ndarray, int, int]:
+    """Exact theta labels of T(m, n): (numerators, denominator, level).
+
+    Every residue s mod P together with an output index j meets exactly one
+    entry, k = -s mod c_m and l = j + s*a_n mod c_n, with numerator
+    s*c_N + j*c_m mod P*c_N; entries no (j, s) meets are 0 and keep -1.
+    As a_n*d_n - b_n*c_n = 1, c_n | P*a_n means c_n | P, so P = lcm(c_m, c_n).
+    """
     cm, cn, cN = piece_dim(m, data), piece_dim(n, data), piece_dim(m + n, data)
-    T = np.zeros((cN, cm, cn), dtype=complex)
-    res = np.zeros((cm, cn))
-    max_cond = 1.0
-    grid = _holomorphic_grid(data, tau, m + n)
-    for k in range(cm):
-        xi = holomorphic_element(data, m, tau, k=k)
-        for l in range(cn):
-            eta = holomorphic_element(data, n, tau, k=l)
-            prod, prep = balanced_product(xi, eta, tol=tol)
-            vec, r = _expand(prod, grid)
-            T[:, k, l] = vec
-            res[k, l] = max(r, prep["max_residual"])
-            max_cond = max(max_cond, prep["max_cond"])
-    return StructureTensor((m, n), T, res, max_cond)
+    P = math.lcm(cm, cn)
+    j = np.arange(cN)[:, None]
+    s = np.arange(P)[None, :]
+    labels = np.full((cN, cm, cn), -1, dtype=np.int64)
+    labels[j, -s % cm, (j + s * (data.power(n).a % cn)) % cn] = (s * cN + j * cm) % (P * cN)
+    return labels, P * cN, cN * P * P // (cm * cn)
+
+
+def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e-9) -> StructureTensor:
+    """T(m, n) gathered from one certified theta constant per distinct label.
+
+    The witness is the basis pair (0, 0), multiplied by balanced_product at
+    ``tol`` and expanded over the R_{m+n} basis.  max_residual is the largest
+    of the entry bound and the witness's gap to T[:, 0, 0], both relative to
+    max|T|, and the witness's own relative residual.
+    """
+    labels, den, level = tensor_labels(m, n, data)
+    nums, where = np.unique(labels.ravel(), return_inverse=True)
+    mt = level * complex(tau)
+    values = np.zeros(nums.size, dtype=complex)
+    bound = 0.0
+    for i, num in enumerate(nums.tolist()):
+        if num >= 0:
+            r = Fraction(num, den)
+            th = theta_const(r, mt, tol=_THETA_TOL)
+            values[i] = th.value
+            bound = max(bound, th.bound + rounding_bound(r, mt, th.terms))
+    T = values[where].reshape(labels.shape)
+    prod, prep = balanced_product(holomorphic_element(data, m, tau),
+                                  holomorphic_element(data, n, tau), tol=tol)
+    vec, res = _expand(prod, _holomorphic_grid(data, tau, m + n))
+    scale = float(np.max(np.abs(T)))
+    gap = float(np.max(np.abs(vec - T[:, 0, 0])))
+    worst = max(bound / scale, gap / scale, res, prep["max_residual"])
+    return StructureTensor((m, n), T, labels, den, level, worst, bound, prep["max_cond"])
 
 
 def cached_tensor(tensors: dict | None, m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
@@ -227,7 +269,8 @@ def cyclic_shifts(m: int, n: int, data: RMData) -> tuple[int, int, int]:
     Shifting the output index by sigma_N = c_N/gcd(c_m, c_N) is undone by
     reindexing the averaging series s -> s - delta with delta = sigma_N c_m /
     c_N = c_m/gcd, which shifts the degree-m index by delta and the degree-n
-    index by sigma_N - delta*a_n; all three are integers and the tensor is
+    index by sigma_N - delta*a_n.  The label numerator s*c_N + j*c_m is then
+    unchanged, so the labels, and with them the gathered tensor, are exactly
     invariant under the simultaneous cyclic shift.
     """
     cm = data.power(m).c
@@ -363,35 +406,22 @@ def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: 
     return worst
 
 
-def theta_match_report(st: StructureTensor, tau: complex, l_max: int = 4,
-                       entries: int = 8, tol: float = 1e-12) -> list[dict]:
-    """Diagnostic: nearest |theta_r(l*tau)| for the largest tensor magnitudes.
-
-    The (r, l) labels of the structure constants carry no fixed normalization
-    here, so this is a search over a small grid, reported but never asserted.
-    """
-    from fractions import Fraction
-
-    cN = st.tensor.shape[0]
+def theta_match_report(st: StructureTensor, tau: complex, entries: int = 8) -> list[dict]:
+    """The theta labels (r, l) of the largest entries of ``st``, with |theta_r(l*tau)|
+    evaluated from the label and its gap to the entry's magnitude."""
     flat = np.abs(st.tensor).ravel()
-    idx = np.argsort(flat)[::-1][:entries]
     out = []
-    grid = []
-    for l in range(1, l_max + 1):
-        for num in range(0, 2 * cN):
-            r = Fraction(num, 2 * cN)
-            val = abs(complex(theta_const(r, l * tau, tol=tol).value))
-            grid.append((float(r), l, val))
-    for i in idx:
+    for i in np.argsort(flat)[::-1][:entries]:
         mag = float(flat[i])
         if mag == 0:
             continue
-        best = min(grid, key=lambda t: abs(t[2] - mag))
+        r = Fraction(int(st.labels.flat[i]), st.denominator)
+        value = abs(theta_const(r, st.level * complex(tau), tol=_THETA_TOL).value)
         out.append({
             "index": [int(x) for x in np.unravel_index(i, st.tensor.shape)],
             "magnitude": mag,
-            "nearest": {"r": best[0], "l": best[1], "value": best[2],
-                        "rel_gap": abs(best[2] - mag) / mag},
+            "nearest": {"r": float(r), "l": st.level, "value": value,
+                        "rel_gap": abs(value - mag) / mag},
         })
     return out
 

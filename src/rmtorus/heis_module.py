@@ -34,10 +34,11 @@ the degree-N operator table on (u, j).  H is sampled for every j at once on a
 deterministic grid, its nonzero-weight (j, s) terms evaluated in fixed-size
 blocks, and expanded in the Gaussian-atom basis inherited from the factors by
 one least-squares solve with a right-hand side per j, whose per-j residuals
-are reported.  For matched holomorphic factors (alpha_i = tau/(2*eps_i)) the
+are reported.  For holomorphic factors (alpha_i = tau/(2*eps_i)) the
 s-dependence of the u-linear phase cancels and the series collapses onto a
-single atom per j, which matched_product computes directly as a certified
-theta-like sum.
+single atom per j whose coefficient is a theta constant; coord_ring builds the
+ring's structure tensors from those closed forms and keeps balanced_product
+as their independent witness.
 """
 
 from __future__ import annotations
@@ -435,82 +436,6 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     report["max_residual"] = max(report["per_j_residual"], default=0.0)
     report["max_cond"] = cond
     return ModuleElement(data, N, out_terms), report
-
-
-def matched_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-14):
-    """Closed-form balanced product for matched degree-0 Gaussian factors.
-
-    Requires every atom to satisfy alpha_1 * eps_m = alpha_2 * eps_n (both
-    equal tau/2 for holomorphic vectors), in which case the averaging series
-    collapses, for each output index j, onto a single atom whose coefficient
-    is a convergent theta-like sum evaluated here term by term.  Serves as an
-    independent route against the grid/least-squares expansion.
-    """
-    if xi.data != eta.data:
-        raise ValueError("factors must share the same RMData")
-    data = xi.data
-    m, n = xi.degree, eta.degree
-    N = m + n
-    km, kn, kN = data.power(m), data.power(n), data.power(N)
-    cm, cn, cN = km.c, kn.c, kN.c
-    an = kn.a
-    eps_m, eps_n, eps_N = km.eps, kn.eps, kN.eps
-    pn = 1.0 / (cn * eps_n)
-
-    for sv, _ in xi.terms + eta.terms:
-        for at in sv.atoms:
-            if at.degree > 0:
-                raise ValueError("matched_product handles degree-0 atoms only")
-    for s1, _ in xi.terms:
-        for a1 in s1.atoms:
-            for s2, _ in eta.terms:
-                for a2 in s2.atoms:
-                    mism = abs(a1.alpha * eps_m - a2.alpha * eps_n)
-                    if mism > 1e-9 * max(abs(a1.alpha * eps_m), 1.0):
-                        raise ValueError("atoms are not matched; use balanced_product")
-
-    out_terms = []
-    for j in range(cN):
-        x0 = -j * eps_N * pn
-        y0 = j * (eps_n - eps_N)
-        atoms: dict[tuple[complex, complex], complex] = {}
-        for s1, f1 in xi.terms:
-            for s2, f2 in eta.terms:
-                for a1 in s1.atoms:
-                    for a2 in s2.atoms:
-                        w1 = a1.poly[0]
-                        w2 = a2.poly[0]
-                        alpha = a1.alpha * pn * pn + a2.alpha
-                        beta = (a1.beta * pn + a2.beta
-                                + 2 * a1.alpha * pn * x0 + 2 * a2.alpha * y0)
-                        # minimize Im of the constant exponent over s
-                        b2 = a1.alpha.imag * eps_m * eps_m + a2.alpha.imag / (cn * cn)
-                        b1 = (-2 * a1.alpha.imag * eps_m * x0 - a1.beta.imag * eps_m
-                              + 2 * a2.alpha.imag * y0 / cn + a2.beta.imag / cn)
-                        s_star = int(round(-b1 / (2 * b2)))
-                        # beyond |s - s_star| = R the summand is below tol
-                        # relative to the peak by the Gaussian envelope
-                        R = int(math.ceil(math.sqrt(
-                            max(math.log(1.0 / tol), 1.0) / (2.0 * math.pi * b2)
-                        ))) + cm * cn + 2
-                        total = 0j
-                        for s in range(s_star - R, s_star + R + 1):
-                            wf = f1[(-s) % cm] * f2[(j + s * an) % cn]
-                            if wf == 0:
-                                continue
-                            xs = x0 - s * eps_m
-                            ys = y0 + s / cn
-                            const = (a1.alpha * xs * xs + a1.beta * xs
-                                     + a2.alpha * ys * ys + a2.beta * ys)
-                            total += wf * np.exp(_TWO_PI_I * const)
-                        coef = w1 * w2 * total
-                        if coef != 0:
-                            key = (alpha, beta)
-                            atoms[key] = atoms.get(key, 0j) + coef
-        sv = SchwartzVector(GaussianAtom((z,), alpha, beta) for (alpha, beta), z in atoms.items())
-        if not sv.is_zero():
-            out_terms.append((sv, FiniteVector.delta(cN, j)))
-    return ModuleElement(data, N, out_terms)
 
 
 # -- relation diagnostics ------------------------------------------------------

@@ -429,10 +429,10 @@ class FiniteHeisenberg:
         return FiniteHeisElement(Fraction(turns), (m1, m2), self.c)
 
     def cocycle_turns(self, x, y) -> Fraction:
-        return Fraction(x[0] * y[1] - y[0] * x[1], 2 * self.c) % 1
-
-    def pairing_turns(self, x, y) -> Fraction:
-        return Fraction(x[0] * y[1] - y[0] * x[1], self.c) % 1
+        """Central turns of (0, x)(0, y) against (0, x + y), read off the kernel's _mul."""
+        c, L = self.c, 2 * self.c
+        t = _mul(0, *x, 0, *y, c, L)[0] - _canon(0, x[0] + y[0], x[1] + y[1], c, L)[0]
+        return Fraction(t % L, L)
 
     def mul(self, h1: FiniteHeisElement, h2: FiniteHeisElement) -> FiniteHeisElement:
         L = _turns_scale(self.c, h1.turns, h2.turns)

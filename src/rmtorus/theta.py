@@ -16,6 +16,11 @@ two-variable series the modulation contributes at most exp(2*pi*|Im z|*|n+r|)
 per term and the same geometric argument applies once the decrement
 2*pi*t*a - 2*pi*|Im z| is positive.  Truncation levels are chosen as the
 smallest N whose certified tail is below the requested tolerance.
+
+The tail bound covers truncation only.  rounding_bound adds the
+floating-point error of the partial sum itself; callers that certify a value
+to the last few units in the last place (the structure tensors of coord_ring)
+add the two.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _MAX_TERMS = 10**7
+
+_UNIT = 2.0 ** -53      # unit roundoff of an IEEE double
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,30 @@ def theta_partial(r, m: complex, N: int) -> complex:
         x = float(n + rr)
         total += cmath.exp(1j * math.pi * x * x * m)
     return total
+
+
+def rounding_bound(r, m: complex, N: int) -> float:
+    """Bound on |theta_partial(r, m, N) - the exact partial sum at r, m|.
+
+    Term n is cmath.exp(z_n) with z_n = pi*i*x^2*m, x = n + r.  Rounding x and
+    pi, the three products, and an m that was itself rounded once (m = l*tau)
+    move z_n by at most 16u|z_n| (u = 2^-53, twice the first-order count);
+    exp, cos, sin and their products add at most 8u relative; the running sum
+    of 2N+1 terms adds sqrt(2)*gamma_{2N+1} times the sum of the computed
+    magnitudes.  The final factor and floor cover the bound's own arithmetic
+    and underflowed terms.
+    """
+    rr = float(_reduce_characteristic(r))
+    t, am = m.imag, abs(m)
+    local = total = 0.0
+    for n in range(-N, N + 1):
+        x2 = (n + rr) ** 2
+        mag = math.exp(-math.pi * t * x2)
+        dz = 16.0 * _UNIT * math.pi * x2 * am
+        local += mag * (math.expm1(dz) + math.exp(dz) * 8.0 * _UNIT)
+        total += mag * math.exp(dz) * (1.0 + 8.0 * _UNIT)
+    k = (2 * N + 1) * _UNIT
+    return 1.001 * (local + math.sqrt(2.0) * k / (1.0 - k) * total) + 1e-300
 
 
 def _certify_terms(bound_at, tol: float) -> int:

@@ -47,6 +47,14 @@ class TorusElement:
                 if a != 0:
                     self.coeffs[(int(n), int(m))] = complex(a)
 
+    @classmethod
+    def _trusted(cls, theta, coeffs: dict) -> "TorusElement":
+        """Wrap ``coeffs`` (int pairs -> complex) as is, dropping exact zeros."""
+        el = cls.__new__(cls)
+        el.theta = theta
+        el.coeffs = {k: a for k, a in coeffs.items() if a != 0}
+        return el
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -113,7 +121,7 @@ class TorusElement:
                 w = a * b * conj[m * p]
                 key = (n + p, m + q)
                 out[key] = out.get(key, 0.0) + w
-        return TorusElement(self.theta, out)
+        return TorusElement._trusted(self.theta, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):

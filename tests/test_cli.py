@@ -306,6 +306,46 @@ def test_ring_small_run(capsys):
     assert payload["config"]["max_degree"] == 2
 
 
+def _key_paths(x, prefix=""):
+    if isinstance(x, dict):
+        return set().union(*(_key_paths(v, f"{prefix}.{k}" if prefix else k)
+                             for k, v in x.items()))
+    if isinstance(x, list):
+        return set().union({prefix + "[]"} if not x else set(),
+                           *(_key_paths(v, prefix + "[]") for v in x))
+    return {prefix}
+
+
+README_RING_PATHS = {
+    "command", "config.assoc_triples", "config.g", "config.max_degree", "config.seed",
+    "config.tau", "config.theta", "config.theta_diagnostic", "report.assoc_residual",
+    "report.dims[]", "report.g[][]", "report.generation[]", "report.generation_detail[].rank",
+    "report.generation_detail[].residual", "report.generation_detail[].source[]",
+    "report.generation_detail[].surjective", "report.generation_detail[].target_dim",
+    "report.quadratic", "report.quadratic_detail.dim_K",
+    "report.quadratic_detail.expected_dim_K", "report.quadratic_detail.inclusion_residual",
+    "report.quadratic_detail.ker3_dim", "report.quadratic_detail.max_product_residual",
+    "report.quadratic_detail.span_dim", "report.tau[]",
+    "report.tensors[].cyclic_symmetry_residual", "report.tensors[].degrees[]",
+    "report.tensors[].max_residual", "report.tensors[].shape[]", "report.theta.canonical",
+    "report.theta.value",
+}
+
+
+def test_readme_ring_report_keeps_its_key_paths(capsys):
+    code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
+                        "--tau", "0.3+1.1i", "--max-degree", "3")
+    assert code == 0
+    rep, payload = _report(out)
+    assert _key_paths(payload) == README_RING_PATHS
+    assert rep["dims"] == [1, 5, 15, 40]
+    assert [d["rank"] for d in rep["generation_detail"]] == [15, 40]
+    assert rep["quadratic"] is True
+    q = rep["quadratic_detail"]
+    assert (q["dim_K"], q["ker3_dim"], q["span_dim"]) == (10, 85, 85)
+    assert [t["cyclic_symmetry_residual"] for t in rep["tensors"]] == [0.0, 0.0]
+
+
 def test_ring_has_no_tol_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "--theta", "(-5+sqrt5)/10", "--tol", "1e-3"])

@@ -1,5 +1,9 @@
+import itertools
 import json
+import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,15 +22,19 @@ from rmtorus.coord_ring import (
     piece_dim,
     ring_report,
     structure_tensor,
+    tensor_labels,
     theta_match_report,
 )
 from rmtorus.heis_module import balanced_product, holomorphic_element
 from rmtorus.heis_rep import FiniteVector
-from rmtorus.qfield import QuadIrr, RMData
+from rmtorus.qfield import QuadIrr, RMData, SL2Matrix
 
 TEST5 = RMData(QuadIrr.parse("(-5+sqrt5)/10"))
+README = RMData(QuadIrr.parse("(-5+sqrt5)/10"), SL2Matrix.from_list([[-1, -1], [5, 4]]))
 GOLDEN = RMData(QuadIrr.parse("(1+sqrt5)/2"))
+ROOT2 = RMData(QuadIrr.parse("sqrt2"))
 TAU = 0.3 + 1.1j
+TAU2 = -0.2 + 0.9j
 
 
 @pytest.fixture(scope="module")
@@ -160,13 +168,13 @@ def test_ring_element_linear_ops():
 
 
 def test_theta_match_report_shape(t11):
-    # diagnostic only: structure, not values
-    rows = theta_match_report(t11, TAU, l_max=2, entries=4)
-    assert len(rows) <= 4
+    rows = theta_match_report(t11, TAU, entries=4)
+    assert len(rows) == 4
     for row in rows:
         assert set(row) == {"index", "magnitude", "nearest"}
         assert set(row["nearest"]) == {"r", "l", "value", "rel_gap"}
-        assert row["nearest"]["rel_gap"] >= 0.0
+        assert row["nearest"]["l"] == t11.level == 15
+        assert row["nearest"]["rel_gap"] < 1e-12
 
 
 def test_ring_report_serializable():
@@ -176,3 +184,92 @@ def test_ring_report_serializable():
     assert rep["quadratic"] is None  # needs degree 3
     text = json.dumps(rep, sort_keys=True, default=_json_default)
     assert json.loads(text)["dims"] == [1, 5, 15]
+
+
+# -- closed-form tensors against the grid/least-squares route ---------------------
+
+def _reference_tensor(m, n, data, tau, pairs=None):
+    """T(m, n) by one balanced_product per basis pair, each projected on the
+    R_{m+n} basis on a sampling grid.  Columns outside ``pairs`` stay NaN."""
+    cm, cn, cN = piece_dim(m, data), piece_dim(n, data), piece_dim(m + n, data)
+    T = np.full((cN, cm, cn), np.nan, dtype=complex)
+    grid = _holomorphic_grid(data, tau, m + n)
+    for k, l in pairs or itertools.product(range(cm), range(cn)):
+        prod, prep = balanced_product(holomorphic_element(data, m, tau, k=k),
+                                      holomorphic_element(data, n, tau, k=l))
+        T[:, k, l], res = _expand(prod, grid)
+        assert max(res, prep["max_residual"]) < 1e-8
+    return T
+
+
+_REFERENCE_CASES = [(data, tau, mn) for data, tau in ((README, TAU), (ROOT2, TAU2))
+                    for mn in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("data,tau,mn", _REFERENCE_CASES,
+                         ids=[f"{'readme' if d is README else 'sqrt2'}-{m}{n}"
+                              for d, _, (m, n) in _REFERENCE_CASES])
+def test_structure_tensor_matches_reference(data, tau, mn):
+    m, n = mn
+    st = structure_tensor(m, n, data, tau)
+    pairs = None
+    if data is ROOT2 and mn == (2, 2):
+        # 144 pairs of 408 outputs take about 35 s; eight seeded columns
+        rng = np.random.default_rng(5)
+        pairs = [tuple(p) for p in rng.integers(0, piece_dim(2, data), size=(8, 2))]
+    want = _reference_tensor(m, n, data, tau, pairs)
+    hit = ~np.isnan(want)
+    assert np.max(np.abs(st.tensor[hit] - want[hit])) <= 1e-12 * np.max(np.abs(st.tensor))
+    assert st.max_residual < 1e-8
+
+
+def _mp_theta(num, den, level, tau):
+    r = mpmath.mpf(num) / den
+    m = level * mpmath.mpc(tau.real, tau.imag)
+    N = int(mpmath.sqrt(150 / (mpmath.pi * m.imag))) + 2     # tail below 1e-60
+    return sum(mpmath.expjpi((n + r) ** 2 * m) for n in range(-N, N + 1))
+
+
+@pytest.mark.parametrize("data,tau,mn", [(README, TAU, (1, 1)), (README, TAU, (1, 2)),
+                                         (README, 0.3 + 0.001j, (1, 1)),
+                                         (README, 12.7 + 0.05j, (2, 1)),
+                                         (ROOT2, TAU2, (1, 2))],
+                         ids=["readme-11", "readme-12", "readme-11-near-real",
+                              "readme-21-large-re", "sqrt2-12"])
+def test_entry_bound_covers_50_digit_values(data, tau, mn):
+    st = structure_tensor(*mn, data, tau)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in rng.choice(np.flatnonzero(st.labels.ravel() >= 0), 25):
+            exact = _mp_theta(int(st.labels.flat[i]), st.denominator, st.level, tau)
+            worst = max(worst, float(abs(complex(st.tensor.flat[i]) - exact)))
+    assert worst <= st.entry_bound
+    assert st.max_residual >= st.entry_bound / np.max(np.abs(st.tensor))
+
+
+@pytest.mark.parametrize("data,mn", [(README, (1, 1)), (README, (1, 2)), (README, (2, 1)),
+                                     (README, (2, 2)), (README, (1, 3)), (ROOT2, (1, 2)),
+                                     (ROOT2, (2, 1)), (GOLDEN, (1, 2))],
+                         ids=["readme-11", "readme-12", "readme-21", "readme-22", "readme-13",
+                              "sqrt2-12", "sqrt2-21", "golden-12"])
+def test_labels_are_cyclic_invariant(data, mn):
+    labels, den, level = tensor_labels(*mn, data)
+    sN, sm, sn = cyclic_shifts(*mn, data)
+    shifted = np.roll(np.roll(np.roll(labels, sN, axis=0), sm, axis=1), sn, axis=2)
+    assert np.array_equal(shifted, labels)
+    # every (j, s mod P) pair meets its own entry, P = lcm(c_m, c_n) = den / c_N
+    cN, cm, cn = labels.shape
+    assert den == cN * math.lcm(cm, cn) and labels.max() < den
+    assert np.count_nonzero(labels >= 0) == den
+    assert level * cm * cn == cN * (den // cN) ** 2
+
+
+def test_near_real_tau_report_is_generated():
+    # Im(tau) = 0.001: the grid/least-squares tensors did not finish in 120 s
+    t0 = time.perf_counter()
+    rep = ring_report(README, 0.3 + 0.001j, max_degree=3, assoc_triples=2)
+    assert time.perf_counter() - t0 < 10.0
+    assert rep["generation"] == [True, True]
+    assert rep["quadratic"] is True
+    assert all(t["max_residual"] < 1e-8 for t in rep["tensors"])

@@ -16,10 +16,10 @@ from rmtorus.heis_module import (
     curvature_scalar,
     holomorphic_element,
     left_act,
-    matched_product,
     module_residuals,
     right_act,
 )
+from rmtorus.coord_ring import structure_tensor
 from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector
 from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, rank_value, unit_phase
 from rmtorus.torus_alg import TorusElement
@@ -272,6 +272,85 @@ def test_balanced_product_respects_module_action():
     assert lhs2.sup_distance(rhs2, XS) < 1e-8 * max(1.0, lhs2.sup_norm(XS))
 
 
+# -- the closed form for matched factors, kept as a reference ------------------------
+
+def matched_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-14):
+    """Closed-form balanced product for matched degree-0 Gaussian factors.
+
+    Requires every atom to satisfy alpha_1 * eps_m = alpha_2 * eps_n (both
+    equal tau/2 for holomorphic vectors), in which case the averaging series
+    collapses, for each output index j, onto a single atom whose coefficient
+    is a convergent theta-like sum evaluated here term by term.  A reference
+    route against the grid/least-squares expansion; the ring's structure
+    tensors use the same collapse through exact theta labels.
+    """
+    if xi.data != eta.data:
+        raise ValueError("factors must share the same RMData")
+    data = xi.data
+    m, n = xi.degree, eta.degree
+    N = m + n
+    km, kn, kN = data.power(m), data.power(n), data.power(N)
+    cm, cn, cN = km.c, kn.c, kN.c
+    an = kn.a
+    eps_m, eps_n, eps_N = km.eps, kn.eps, kN.eps
+    pn = 1.0 / (cn * eps_n)
+
+    for sv, _ in xi.terms + eta.terms:
+        for at in sv.atoms:
+            if at.degree > 0:
+                raise ValueError("matched_product handles degree-0 atoms only")
+    for s1, _ in xi.terms:
+        for a1 in s1.atoms:
+            for s2, _ in eta.terms:
+                for a2 in s2.atoms:
+                    mism = abs(a1.alpha * eps_m - a2.alpha * eps_n)
+                    if mism > 1e-9 * max(abs(a1.alpha * eps_m), 1.0):
+                        raise ValueError("atoms are not matched; use balanced_product")
+
+    out_terms = []
+    for j in range(cN):
+        x0 = -j * eps_N * pn
+        y0 = j * (eps_n - eps_N)
+        atoms: dict[tuple[complex, complex], complex] = {}
+        for s1, f1 in xi.terms:
+            for s2, f2 in eta.terms:
+                for a1 in s1.atoms:
+                    for a2 in s2.atoms:
+                        w1 = a1.poly[0]
+                        w2 = a2.poly[0]
+                        alpha = a1.alpha * pn * pn + a2.alpha
+                        beta = (a1.beta * pn + a2.beta
+                                + 2 * a1.alpha * pn * x0 + 2 * a2.alpha * y0)
+                        # minimize Im of the constant exponent over s
+                        b2 = a1.alpha.imag * eps_m * eps_m + a2.alpha.imag / (cn * cn)
+                        b1 = (-2 * a1.alpha.imag * eps_m * x0 - a1.beta.imag * eps_m
+                              + 2 * a2.alpha.imag * y0 / cn + a2.beta.imag / cn)
+                        s_star = int(round(-b1 / (2 * b2)))
+                        # beyond |s - s_star| = R the summand is below tol
+                        # relative to the peak by the Gaussian envelope
+                        R = int(math.ceil(math.sqrt(
+                            max(math.log(1.0 / tol), 1.0) / (2.0 * math.pi * b2)
+                        ))) + cm * cn + 2
+                        total = 0j
+                        for s in range(s_star - R, s_star + R + 1):
+                            wf = f1[(-s) % cm] * f2[(j + s * an) % cn]
+                            if wf == 0:
+                                continue
+                            xs = x0 - s * eps_m
+                            ys = y0 + s / cn
+                            const = (a1.alpha * xs * xs + a1.beta * xs
+                                     + a2.alpha * ys * ys + a2.beta * ys)
+                            total += wf * np.exp(2j * math.pi * const)
+                        coef = w1 * w2 * total
+                        if coef != 0:
+                            key = (alpha, beta)
+                            atoms[key] = atoms.get(key, 0j) + coef
+        sv = SchwartzVector(GaussianAtom((z,), alpha, beta) for (alpha, beta), z in atoms.items())
+        if not sv.is_zero():
+            out_terms.append((sv, FiniteVector.delta(cN, j)))
+    return ModuleElement(data, N, out_terms)
+
+
 def test_matched_product_agrees_with_least_squares():
     data = TEST5
     for k in (0, 1):
@@ -282,6 +361,22 @@ def test_matched_product_agrees_with_least_squares():
         assert report["max_residual"] < 1e-10
         scale = max(1.0, direct.sup_norm(XS))
         assert direct.sup_distance(lsq, XS) / scale < 1e-9
+
+
+def test_matched_product_matches_theta_labels():
+    # each delta pair collapses onto one atom per j, alpha_N with a rounding-level
+    # beta, whose coefficient is the structure constant theta_r(l*tau)
+    st = structure_tensor(1, 1, TEST5, TAU)
+    for k in range(5):
+        for l in range(5):
+            prod = matched_product(holomorphic_element(TEST5, 1, TAU, k=k),
+                                   holomorphic_element(TEST5, 1, TAU, k=l))
+            got = np.zeros(15, dtype=complex)
+            for sv, f in prod.terms:
+                (atom,) = sv.atoms
+                assert abs(atom.beta) < 1e-13
+                got[f.entries.index(1)] = atom.poly[0]
+            assert np.max(np.abs(got - st.tensor[:, k, l])) < 1e-13
 
 
 def test_matched_product_rejects_mismatch():
