@@ -58,7 +58,7 @@ def parse_complex(s: str) -> complex:
 def parse_theta(s: str) -> QuadIrr:
     try:
         return QuadIrr.parse(s)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse theta {s!r}: {exc}") from None
 
 
@@ -82,6 +82,10 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 # -- option resolution ---------------------------------------------------------
+
+# module-check refuses a degree whose probe would have more finite entries
+# than this (degree 9 of the README data has c = 12,920, degree 12 has 231,840)
+_MAX_PROBE_MODULUS = 10 ** 5
 
 # The keys a --config file may set: these and the subcommand's own flags.
 # max_trace is config-only for module-check and ring; a None default is left
@@ -263,6 +267,16 @@ def _cmd_module_check(opts: dict) -> dict:
     if not isinstance(degrees, list):
         degrees = [degrees]
     degrees = [_int_of(t, "degrees", 1) for t in degrees]
+    if not degrees:
+        raise InputError("--degrees must name at least one module degree")
+    for n in degrees:
+        # c_k grows with k (g is hyperbolic with c > 0), so the first c_k past
+        # the limit bounds c_n without computing g^n for a huge n
+        for k in range(1, n + 1):
+            c = data.power(k).c
+            if c > _MAX_PROBE_MODULUS:
+                raise ToleranceError(f"module degree {n}: c_{n} >= {c} exceeds the probe "
+                                     f"limit of {_MAX_PROBE_MODULUS} finite entries")
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
     worst = 0.0

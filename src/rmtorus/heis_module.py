@@ -1,9 +1,18 @@
 """Heisenberg bimodules over the smooth torus algebra and their tensor products.
 
 E = S(R) (x) C(Z/cZ) carries commuting left and right actions of the torus
-algebra with the same parameter theta, built from eight elementary operators.
-With eps = (c*theta + d)/c the degree-n module uses the entries of g^n.  The
-right action of the generators sends f (x) phi to
+algebra with the same parameter theta.  E is a Heisenberg representation
+restricted to lattice points, so each generator acts as one Heisenberg
+element: a translation by t and a modulation e(s*x) on S(R), and the finite
+Heisenberg element (0, m) of FiniteHeisenberg(c) on C(Z/cZ).  With
+eps = (c*theta + d)/c and the entries of g^n for the degree-n module, the
+generator table of (t, s, m) is
+
+    right  (U) (-eps, 0, (-1, 0))       (V) (0, 1, (0, -d))
+    left   (U) (-1/c, 0, (-a, 0))       (V) (0, 1/(c*eps), (0, -1))
+
+and the inverses negate all three parts.  So the right action of the
+generators sends f (x) phi to
 
     (U) f(x - eps) (x) phi([k-1])        (V) e(x) f (x) e(-d*k/c) phi([k])
 
@@ -44,11 +53,10 @@ as their independent witness.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .heis_rep import FiniteVector, GaussianAtom, SchwartzVector
+from .heis_rep import FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector, lie_derivative
 from .qfield import QuadIrr, RMData
 from .torus_alg import TorusElement
 
@@ -97,9 +105,6 @@ class ModuleElement:
     def single(cls, data: RMData, degree: int, f: SchwartzVector, phi: FiniteVector) -> "ModuleElement":
         return cls(data, degree, [(f, phi)])
 
-    def is_zero_form(self) -> bool:
-        return all(s.is_zero() for s, _ in self.terms)
-
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         if other.degree != self.degree:
             raise ValueError("cannot add elements of different degrees")
@@ -127,15 +132,6 @@ class ModuleElement:
                 order.append(key)
         terms = [(groups[k], FiniteVector(k)) for k in order if not groups[k].is_zero()]
         return ModuleElement(self.data, self.degree, terms)
-
-    def eval(self, x, k: int):
-        c = self.consts.c
-        total = 0
-        for s, f in self.terms:
-            w = f[k % c]
-            if w != 0:
-                total = total + w * s.eval(x)
-        return total
 
     def sample(self, xs) -> np.ndarray:
         """Array of shape (c_n, len(xs)), row k = values at (xs, [k])."""
@@ -181,44 +177,50 @@ class ModuleElement:
 # -- generator actions --------------------------------------------------------
 
 
-def _apply_right_gen(elem: ModuleElement, gen: str) -> ModuleElement:
-    k = elem.consts
-    c, d, eps = k.c, k.d, k.eps
-    if gen == "U":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.translate(-eps), f.shift(-1)) for s, f in elem.terms])
-    if gen == "Uinv":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.translate(eps), f.shift(1)) for s, f in elem.terms])
-    if gen == "V":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.modulate(1.0), f.phased(lambda n: Fraction(-d * n, c)))
-                              for s, f in elem.terms])
-    if gen == "Vinv":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.modulate(-1.0), f.phased(lambda n: Fraction(d * n, c)))
-                              for s, f in elem.terms])
-    raise ValueError(f"unknown generator {gen!r}")
+# the generator table of the module docstring, from the degree-n constants
+_GENERATORS = {
+    ("right", "U"): lambda k: (-k.eps, 0.0, (-1, 0)),
+    ("right", "V"): lambda k: (0.0, 1.0, (0, -k.d)),
+    ("left", "U"): lambda k: (-1.0 / k.c, 0.0, (-k.a, 0)),
+    ("left", "V"): lambda k: (0.0, 1.0 / (k.c * k.eps), (0, -1)),
+}
 
 
-def _apply_left_gen(elem: ModuleElement, gen: str) -> ModuleElement:
-    k = elem.consts
-    c, a, eps = k.c, k.a, k.eps
-    if gen == "U":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.translate(-1.0 / c), f.shift(-a)) for s, f in elem.terms])
-    if gen == "Uinv":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.translate(1.0 / c), f.shift(a)) for s, f in elem.terms])
-    if gen == "V":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.modulate(1.0 / (c * eps)), f.phased(lambda n: Fraction(-n, c)))
-                              for s, f in elem.terms])
-    if gen == "Vinv":
-        return ModuleElement(elem.data, elem.degree,
-                             [(s.modulate(-1.0 / (c * eps)), f.phased(lambda n: Fraction(n, c)))
-                              for s, f in elem.terms])
-    raise ValueError(f"unknown generator {gen!r}")
+def _apply_gen(side: str, gen: str, elem: ModuleElement) -> ModuleElement:
+    """One generator step: f (x) phi -> (translated, modulated f) (x) U_{(0, m)} phi."""
+    if gen not in ("U", "Uinv", "V", "Vinv"):
+        raise ValueError(f"unknown generator {gen!r}")
+    t, s, (m1, m2) = _GENERATORS[side, gen[0]](elem.consts)
+    if gen.endswith("inv"):
+        t, s, m1, m2 = -t, -s, -m1, -m2
+    G = FiniteHeisenberg(elem.consts.c)
+    h = G.element(0, m1, m2)
+    terms = []
+    for f, phi in elem.terms:
+        # each generator moves only one of the two; translate(0) would still
+        # re-expand every atom
+        if t:
+            f = f.translate(t)
+        if s:
+            f = f.modulate(s)
+        terms.append((f, G.act(h, phi)))
+    return ModuleElement(elem.data, elem.degree, terms)
+
+
+def _act_monomials(side: str, a, xi: ModuleElement) -> ModuleElement:
+    if isinstance(a, str):
+        return _apply_gen(side, a, xi)
+    if not isinstance(a, TorusElement):
+        raise TypeError(f"{side}_act expects a generator name or a TorusElement")
+    out = ModuleElement(xi.data, xi.degree, [])
+    for (n, m), coef in a.coeffs.items():
+        us = ["U" if n > 0 else "Uinv"] * abs(n)
+        vs = ["V" if m > 0 else "Vinv"] * abs(m)
+        term = xi
+        for gen in (us + vs if side == "right" else vs + us):
+            term = _apply_gen(side, gen, term)
+        out = out + term.scaled(coef)
+    return out
 
 
 def right_act(a, xi: ModuleElement) -> ModuleElement:
@@ -227,56 +229,25 @@ def right_act(a, xi: ModuleElement) -> ModuleElement:
     A monomial U^n V^m acts as n right-U steps followed by m right-V steps,
     so that xi.(ab) = (xi.a).b holds for the algebra product.
     """
-    if isinstance(a, str):
-        return _apply_right_gen(xi, a)
-    if not isinstance(a, TorusElement):
-        raise TypeError("right_act expects a generator name or a TorusElement")
-    out = None
-    for (n, m), coef in a.coeffs.items():
-        term = xi
-        for _ in range(abs(n)):
-            term = _apply_right_gen(term, "U" if n > 0 else "Uinv")
-        for _ in range(abs(m)):
-            term = _apply_right_gen(term, "V" if m > 0 else "Vinv")
-        term = term.scaled(coef)
-        out = term if out is None else out + term
-    if out is None:
-        out = ModuleElement(xi.data, xi.degree, [])
-    return out
+    return _act_monomials("right", a, xi)
 
 
 def left_act(a, xi: ModuleElement) -> ModuleElement:
     """a . xi.  A monomial U^n V^m acts as m left-V steps then n left-U steps,
     so that (ab).xi = a.(b.xi)."""
-    if isinstance(a, str):
-        return _apply_left_gen(xi, a)
-    if not isinstance(a, TorusElement):
-        raise TypeError("left_act expects a generator name or a TorusElement")
-    out = None
-    for (n, m), coef in a.coeffs.items():
-        term = xi
-        for _ in range(abs(m)):
-            term = _apply_left_gen(term, "V" if m > 0 else "Vinv")
-        for _ in range(abs(n)):
-            term = _apply_left_gen(term, "U" if n > 0 else "Uinv")
-        term = term.scaled(coef)
-        out = term if out is None else out + term
-    if out is None:
-        out = ModuleElement(xi.data, xi.degree, [])
-    return out
+    return _act_monomials("left", a, xi)
 
 
 # -- connections ---------------------------------------------------------------
 
 
 def connection(i: int, xi: ModuleElement) -> ModuleElement:
-    """nabla_1 = multiplication by 2*pi*i*x/eps_n, nabla_2 = d/dx."""
+    """nabla_1 = multiplication by 2*pi*i*x/eps_n, nabla_2 = d/dx: the Lie
+    derivatives B and A of the real representation with eps = eps_n."""
+    if i not in (1, 2):
+        raise ValueError("connection direction must be 1 or 2")
     eps = xi.consts.eps
-    if i == 1:
-        return xi.map_schwartz(lambda s: s.times_x().scaled(_TWO_PI_I / eps))
-    if i == 2:
-        return xi.map_schwartz(lambda s: s.derivative())
-    raise ValueError("connection direction must be 1 or 2")
+    return xi.map_schwartz(lambda s: lie_derivative(s, "BA"[i - 1], eps))
 
 
 def curvature(xi: ModuleElement) -> ModuleElement:

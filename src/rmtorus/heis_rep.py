@@ -108,19 +108,22 @@ class GaussianAtom:
 
     def derivative(self) -> "GaussianAtom":
         """d/dx: p' + 2*pi*i*(2*alpha*x + beta)*p, done on coefficients."""
-        ta = _TWO_PI_I * (self.alpha + self.alpha)
-        tb = _TWO_PI_I * self.beta
+        return self._linear_derivative(_TWO_PI_I * (self.alpha + self.alpha))
+
+    def _linear_derivative(self, a) -> "GaussianAtom":
+        """The atom of p' + (a*x + 2*pi*i*beta)*p: d/dx when a = 2*pi*i*2*alpha."""
+        b = _TWO_PI_I * self.beta
         p = self.poly
-        out = [0j] * (len(p) + 1)
+        out = []
         for j in range(len(p) + 1):
             acc = 0j
-            if j + 1 < len(p) + 1 and j + 1 <= len(p) - 1:
+            if j + 1 < len(p):
                 acc += (j + 1) * p[j + 1]
             if j < len(p):
-                acc += tb * p[j]
+                acc += b * p[j]
             if j >= 1:
-                acc += ta * p[j - 1]
-            out[j] = acc
+                acc += a * p[j - 1]
+            out.append(acc)
         return GaussianAtom(tuple(out), self.alpha, self.beta)
 
     def __eq__(self, other):
@@ -264,29 +267,8 @@ class FiniteVector:
     def __getitem__(self, n: int) -> complex:
         return self.entries[n % self.c]
 
-    def shift(self, s: int) -> "FiniteVector":
-        """(shifted)[n] = self[n + s]."""
-        return FiniteVector([self[(n + s)] for n in range(self.c)])
-
-    def phased(self, turns_of_index) -> "FiniteVector":
-        """Multiply entry n by exp(2*pi*i*turns_of_index(n))."""
-        return FiniteVector([cis_turns(turns_of_index(n)) * e for n, e in enumerate(self.entries)])
-
-    def __add__(self, other):
-        if other.c != self.c:
-            raise ValueError("mismatched moduli")
-        return FiniteVector([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if other.c != self.c:
-            raise ValueError("mismatched moduli")
-        return FiniteVector([a - b for a, b in zip(self.entries, other.entries)])
-
     def scaled(self, z) -> "FiniteVector":
         return FiniteVector([z * e for e in self.entries])
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(e) ** 2 for e in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteVector):
@@ -338,6 +320,13 @@ def _turns_scale(c: int, *turns: Fraction) -> int:
 
 def _numerator(t: Fraction, L: int) -> int:
     return t.numerator * (L // t.denominator)
+
+
+def _index_dtype(c: int, L: int):
+    """Array dtype for the kernel at scale L: with phase numerators in [0, L) and
+    indices in [0, c) its intermediates stay below 4*L*c in magnitude; past
+    int64 the arrays hold exact Python ints instead."""
+    return np.int64 if 4 * L * c < 2 ** 62 else object
 
 
 def _canon(t, m1, m2, c: int, L: int):
@@ -453,10 +442,13 @@ class FiniteHeisenberg:
         """(U phi)[n] = lam * e((n*m2 + m1*m2/2)/c) * phi[n + m1]."""
         if phi.c != self.c:
             raise ValueError("vector modulus does not match the group")
-        out = [0j] * self.c
-        for k in range(self.c):
-            turns, n = self.act_basis(h, k)
-            out[n] = cis_turns(turns) * phi[k]
+        c = self.c
+        L = _turns_scale(c, h.turns)
+        t, n = _act(_numerator(h.turns, L), *h.m, np.arange(c, dtype=_index_dtype(c, L)), c, L)
+        out = [0j] * c
+        # t/L of two ints is correctly rounded, so each phase equals cis_turns(Fraction(t, L))
+        for tk, nk, e in zip(t.tolist(), n.tolist(), phi.entries):
+            out[nk] = cmath.exp(_TWO_PI_I * (tk / L)) * e
         return FiniteVector(out)
 
     def representation_exact(self, z1, z2) -> bool:
@@ -465,10 +457,7 @@ class FiniteHeisenberg:
         c = self.c
         z1, z2 = Fraction(z1), Fraction(z2)
         L = _turns_scale(c, z1, z2)
-        # with a, b in [0, L) the kernel's intermediates stay below 4*L*c in
-        # magnitude; past int64 the arrays hold exact Python ints instead
-        dtype = np.int64 if 4 * L * c < 2 ** 62 else object
-        m1, m2, p1, p2, k = np.indices((c,) * 5).astype(dtype)
+        m1, m2, p1, p2, k = np.indices((c,) * 5).astype(_index_dtype(c, L))
         a, b = _numerator(z1, L) % L, _numerator(z2, L) % L
         t12, q1, q2 = _mul(a, m1, m2, b, p1, p2, c, L)
         t, n = _act(t12, q1, q2, k, c, L)
@@ -510,18 +499,9 @@ class FiniteHeisenberg:
         return "neither"
 
     def pairing_nondegenerate(self) -> bool:
-        """Exhaustive check that x -> e(x, .) has trivial kernel."""
-        for x1 in range(self.c):
-            for x2 in range(self.c):
-                if (x1, x2) == (0, 0):
-                    continue
-                if all(
-                    (x1 * y2 - y1 * x2) % self.c == 0
-                    for y1 in range(self.c)
-                    for y2 in range(self.c)
-                ):
-                    return False
-        return True
+        """Exhaustive check that x -> e(x, .) has trivial kernel: the perp of the
+        whole group is {(0, 0)}."""
+        return self.perp({(x1, x2) for x1 in range(self.c) for x2 in range(self.c)}) == {(0, 0)}
 
 
 def lie_derivative(f: SchwartzVector, which: str, eps: float) -> SchwartzVector:
@@ -557,20 +537,5 @@ def holomorphic_residual(tau: complex, f: SchwartzVector, eps: float) -> Schwart
     built as tau/(2*eps), since halving and doubling are exact in IEEE
     arithmetic, so holomorphic atoms are annihilated exactly.
     """
-    out = []
-    for at in f.atoms:
-        gcoef = _TWO_PI_I * ((at.alpha + at.alpha) - tau / eps)
-        tb = _TWO_PI_I * at.beta
-        p = at.poly
-        res = [0j] * (len(p) + 1)
-        for j in range(len(p) + 1):
-            acc = 0j
-            if j + 1 <= len(p) - 1:
-                acc += (j + 1) * p[j + 1]
-            if j < len(p):
-                acc += tb * p[j]
-            if j >= 1:
-                acc += gcoef * p[j - 1]
-            res[j] = acc
-        out.append(GaussianAtom(tuple(res), at.alpha, at.beta))
-    return SchwartzVector(out)
+    return SchwartzVector(at._linear_derivative(_TWO_PI_I * ((at.alpha + at.alpha) - tau / eps))
+                          for at in f.atoms)

@@ -436,26 +436,25 @@ def fixes(g: SL2Matrix, t: QuadIrr) -> bool:
     return (t * t * g.c + t * (g.d - g.a) - g.b).sign() == 0
 
 
-def cf_expand(t: QuadIrr, max_terms: int = 200) -> tuple[list[int], list[int] | None]:
+def cf_expand(t: QuadIrr) -> tuple[list[int], list[int]]:
     """Continued fraction expansion with exact period detection.
 
-    Returns (quotients, period) where ``period`` is the repeating block of
-    partial quotients (None if not detected within ``max_terms``; by Lagrange
-    this only happens when the cap is too small).
+    Returns (quotients, period): the partial quotients up to the first
+    repeated complete quotient, and the repeating block.  By Lagrange's
+    theorem the expansion of a quadratic irrationality is eventually
+    periodic, so the loop ends.
     """
     if t.is_rational:
         raise ValueError("continued fraction period is defined for irrational values")
     quotients: list[int] = []
     seen: dict[QuadIrr, int] = {}
     x = t
-    for _ in range(max_terms):
-        if x in seen:
-            return quotients, quotients[seen[x]:]
+    while x not in seen:
         seen[x] = len(quotients)
         a = math.floor(x)
         quotients.append(a)
         x = (x - a).inverse()
-    return quotients, None
+    return quotients, quotients[seen[x]:]
 
 
 def convergents(quotients: list[int]) -> list[Fraction]:

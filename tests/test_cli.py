@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rmtorus import cli, coord_ring
+from rmtorus import cli, coord_ring, heis_module
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
 
 
@@ -39,6 +42,16 @@ def test_parse_matrix_validates_determinant():
 def test_parse_theta_error():
     with pytest.raises(cli.InputError):
         parse_theta("sqrt(-2)")
+    with pytest.raises(cli.InputError):
+        parse_theta("(1+sqrt5)/0")
+
+
+@pytest.mark.parametrize("sub", ["fix", "algebra", "module-check", "ring"])
+def test_zero_denominator_theta_exits_2(capsys, sub):
+    code, out, err = _run(capsys, sub, "--theta", "(1+sqrt5)/0")
+    assert code == 2
+    assert out == ""
+    assert "theta" in err
 
 
 # -- fix ---------------------------------------------------------------------------
@@ -99,6 +112,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
     (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "abc"], None),
     (["algebra", "--theta", "sqrt2"], {"count": "abc"}),
     (["algebra", "--theta", "sqrt2", "--support", "-3"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", ","], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", " "], None),
 ])
 def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -251,6 +266,22 @@ def test_module_check_passes(capsys):
     assert rep["max_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("degrees, n", [("1,40", 40), ("1000000000", 1000000000)])
+def test_module_check_refuses_oversized_probe(capsys, monkeypatch, degrees, n):
+    # c_40 of this data is about 10^17 and g^(10^9) is never formed: the
+    # refusal comes before any probe is built or any degree is checked
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe built")
+
+    monkeypatch.setattr(heis_module, "holomorphic_element", no_probe)
+    monkeypatch.setattr(heis_module, "module_residuals", no_probe)
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10",
+                          "--degrees", degrees)
+    assert code == 3
+    assert out == ""
+    assert f"c_{n}" in err
+
+
 def test_module_check_rejects_real_tau(capsys):
     code, _, err = _run(capsys, "module-check", "--theta", "sqrt2",
                         "--tau", "0.3+0.0i")
@@ -372,3 +403,16 @@ def test_ring_wrong_matrix_for_theta(capsys):
     code, _, err = _run(capsys, "ring", "--theta", "sqrt2",
                         "--g", "[[2,1],[1,1]]", "--tau", "0.3+1.1i")
     assert code == 2
+
+
+# -- README ---------------------------------------------------------------------------
+
+def test_readme_commands_exit_0(capsys):
+    # every documented command line runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.strip().startswith("rmtorus ")]
+    assert {line.split()[1] for line in lines} == set(cli._RUNNERS)
+    for line in lines:
+        code, _, err = _run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

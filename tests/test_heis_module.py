@@ -20,7 +20,7 @@ from rmtorus.heis_module import (
     right_act,
 )
 from rmtorus.coord_ring import structure_tensor
-from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector
+from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector, cis_turns
 from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, rank_value, unit_phase
 from rmtorus.torus_alg import TorusElement
 
@@ -107,6 +107,83 @@ def test_left_right_actions_commute():
                 lhs = left_act(a, right_act(b, xi))
                 rhs = right_act(b, left_act(a, xi))
                 assert lhs.sup_distance(rhs, XS) < 1e-12 * max(1.0, lhs.sup_norm(XS))
+
+
+def _reference_gen(side, gen, elem):
+    """The hand-written operator of one generator, branch by branch: the S(R)
+    factor is translated or modulated, the C(Z/cZ) factor shifted or phased
+    entry by entry."""
+    k = elem.consts
+    c, a, d, eps = k.c, k.a, k.d, k.eps
+
+    def shift(phi, s):
+        return FiniteVector([phi[n + s] for n in range(c)])
+
+    def phased(phi, turns_of_index):
+        return FiniteVector([cis_turns(turns_of_index(n)) * e for n, e in enumerate(phi.entries)])
+
+    if side == "right":
+        if gen == "U":
+            terms = [(f.translate(-eps), shift(phi, -1)) for f, phi in elem.terms]
+        elif gen == "Uinv":
+            terms = [(f.translate(eps), shift(phi, 1)) for f, phi in elem.terms]
+        elif gen == "V":
+            terms = [(f.modulate(1.0), phased(phi, lambda n: Fraction(-d * n, c)))
+                     for f, phi in elem.terms]
+        else:
+            terms = [(f.modulate(-1.0), phased(phi, lambda n: Fraction(d * n, c)))
+                     for f, phi in elem.terms]
+    else:
+        if gen == "U":
+            terms = [(f.translate(-1.0 / c), shift(phi, -a)) for f, phi in elem.terms]
+        elif gen == "Uinv":
+            terms = [(f.translate(1.0 / c), shift(phi, a)) for f, phi in elem.terms]
+        elif gen == "V":
+            terms = [(f.modulate(1.0 / (c * eps)), phased(phi, lambda n: Fraction(-n, c)))
+                     for f, phi in elem.terms]
+        else:
+            terms = [(f.modulate(-1.0 / (c * eps)), phased(phi, lambda n: Fraction(n, c)))
+                     for f, phi in elem.terms]
+    return ModuleElement(elem.data, elem.degree, terms)
+
+
+def _multi_term_probe(data, degree):
+    c = data.power(degree).c
+    eps = data.power(degree).eps
+    w1 = FiniteVector([complex(1 + (i % 3), -i % 2) for i in range(c)])
+    w2 = FiniteVector([complex(-0.5 * i, 0.25 + i % 4) for i in range(c)])
+    f1 = SchwartzVector.of(GaussianAtom((1.0,), TAU / (2 * eps), 0.0),
+                           GaussianAtom((0.5, -1j, 0.25), 0.2 + 0.9j, 0.3 - 0.1j))
+    f2 = SchwartzVector.of(GaussianAtom((2.0 - 1j, 0.7), 1.3j, -0.4 + 0.2j))
+    return ModuleElement(data, degree, [(f1, w1), (f2, w2)])
+
+
+def _assert_identical(got, want):
+    assert got.degree == want.degree and len(got.terms) == len(want.terms)
+    for (f, phi), (g, psi) in zip(got.terms, want.terms):
+        assert f.atoms == g.atoms
+        assert phi == psi
+
+
+@pytest.mark.parametrize("data", ALL_DATA, ids=["golden", "root2", "test5"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_generator_table_matches_reference(data, degree):
+    # the table of (translation, modulation, finite Heisenberg element) gives
+    # bit for bit the operators it replaced
+    xi = _multi_term_probe(data, degree)
+    for side, act in (("right", right_act), ("left", left_act)):
+        for gen in ("U", "Uinv", "V", "Vinv"):
+            _assert_identical(act(gen, xi), _reference_gen(side, gen, xi))
+    # a monomial U^2 V^-1: right steps U, U, Vinv; left steps Vinv, U, U
+    mono = TorusElement.monomial(data.theta, 2, -1, 0.5 - 0.25j)
+    want = xi
+    for gen in ("U", "U", "Vinv"):
+        want = _reference_gen("right", gen, want)
+    _assert_identical(right_act(mono, xi), want.scaled(0.5 - 0.25j))
+    want = xi
+    for gen in ("Vinv", "U", "U"):
+        want = _reference_gen("left", gen, want)
+    _assert_identical(left_act(mono, xi), want.scaled(0.5 - 0.25j))
 
 
 def test_action_rejects_garbage():

@@ -13,6 +13,8 @@ from rmtorus.heis_rep import (
     HeisElement,
     RealHeisenberg,
     SchwartzVector,
+    _index_dtype,
+    _turns_scale,
     cis_turns,
     holomorphic_residual,
     holomorphic_vector,
@@ -90,6 +92,9 @@ def test_vector_merges_equal_shapes():
 def test_vector_json_round_trip():
     f = _sample_vector()
     assert SchwartzVector.from_json_dict(f.to_json_dict()) == f
+    phi = FiniteVector((1.0, 2.0, 3.0))
+    assert FiniteVector.from_json_dict(phi.to_json_dict()) == phi
+    assert phi[4] == 2.0  # indices wrap
 
 
 # -- real Heisenberg group -------------------------------------------------------
@@ -226,13 +231,21 @@ def test_lift_canonicalization():
 
 
 def test_act_matches_act_basis():
-    G = FiniteHeisenberg(5)
-    h = G.element(Fraction(2, 7), 3, 4)
-    for k in range(5):
-        turns, idx = G.act_basis(h, k)
-        out = G.act(h, FiniteVector.delta(5, k))
-        want = FiniteVector.delta(5, idx).scaled(cis_turns(turns))
-        assert (out - want).norm() == 0.0
+    # every h = (z, m) on every basis vector: the array kernel in act against
+    # the exact single-index act_basis; the last z pushes 4*L*c past int64, so
+    # act runs the kernel on arrays of Python ints
+    big = Fraction(1, 10 ** 30 + 7)
+    for c in range(1, 9):
+        G = FiniteHeisenberg(c)
+        assert _index_dtype(c, _turns_scale(c, big)) is object
+        for z in (0, Fraction(1, 3), Fraction(2, 7), big):
+            for m1 in range(c):
+                for m2 in range(c):
+                    h = G.element(z, m1, m2)
+                    for k in range(c):
+                        turns, idx = G.act_basis(h, k)
+                        want = FiniteVector.delta(c, idx).scaled(cis_turns(turns))
+                        assert G.act(h, FiniteVector.delta(c, k)) == want
 
 
 def test_act_finite_wrapper_and_modulus_guard():
@@ -253,15 +266,6 @@ def test_isotropic_classification():
 def test_pairing_nondegenerate_exhaustive():
     for c in range(1, 13):
         assert FiniteHeisenberg(c).pairing_nondegenerate()
-
-
-def test_finite_vector_shift_and_phase():
-    phi = FiniteVector((1.0, 2.0, 3.0))
-    assert phi.shift(1) == FiniteVector((2.0, 3.0, 1.0))
-    assert phi[4] == 2.0  # indices wrap
-    ph = phi.phased(lambda n: Fraction(n, 3))
-    assert abs(ph[1] - 2.0 * cis_turns(Fraction(1, 3))) < 1e-15
-    assert FiniteVector.from_json_dict(phi.to_json_dict()) == phi
 
 
 # -- Lie algebra and the holomorphic vector ---------------------------------------
