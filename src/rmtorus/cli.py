@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -420,9 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call of main, not at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         opts = _resolve(args.command, args)
         report = _RUNNERS[args.command](opts)

@@ -9,7 +9,7 @@ A value is stored in the canonical form (p + q*sqrt(D)) / r with
 so equality, hashing and comparisons are structural.  All predicates that the
 rest of the package relies on (signs, floors, lattice membership, fixed-point
 checks) are decided in integer arithmetic; floats only appear when a value is
-explicitly converted via ``to_float``/``float()``, which evaluates sqrt(D)
+explicitly converted via ``float()``, which evaluates sqrt(D)
 with 35 digits of mpmath scratch precision before rounding.
 """
 
@@ -79,10 +79,6 @@ class QuadIrr:
     def from_rational(cls, x) -> "QuadIrr":
         f = Fraction(x)
         return cls(f.numerator, 0, f.denominator, _RATIONAL_D)
-
-    @classmethod
-    def sqrt_of(cls, D: int) -> "QuadIrr":
-        return cls(0, 1, 1, D)
 
     @classmethod
     def parse(cls, text: str) -> "QuadIrr":
@@ -298,9 +294,6 @@ class QuadIrr:
         if self.q == 0:
             return self.p / self.r
         return float(self.to_mpf())
-
-    def to_float(self) -> float:
-        return float(self)
 
     # -- io ------------------------------------------------------------------
 

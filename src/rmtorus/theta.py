@@ -5,52 +5,41 @@ The basic object is
     theta_r(m)    = sum_n exp[pi*i*(n+r)^2 * m]
     theta_r(z, m) = sum_n exp[pi*i*(n+r)^2 * m + 2*pi*i*(n+r)*z]
 
-for rational characteristic r and m in the upper half-plane.  Truncation to
-|n| <= N is certified by a geometric majorant: with t = Im(m), a = N+1-|r|
-and r reduced into [0, 1), every discarded term of the constant series obeys
+for rational characteristic r and m in the upper half-plane.  Both are one
+series: theta_partial(r, m, N, z=None) sums |n| <= N and adds the 2*pi*i*x*z
+term only when z is given.  r is reduced to integers num/den with
+0 <= num < den, so x = (n*den + num)/den is the correctly rounded double of
+n + r and no term builds a Fraction.
 
-    exp(-pi*t*(n+r)^2) <= exp(-pi*t*a^2) * exp(-2*pi*t*a*(|n|-N-1)),
+Truncation is certified by one geometric majorant, tail_bound(N, r, t, w=0.0).
+With t = Im(m), w = |Im z| (0 for theta constants) and a = N+1-r, every
+discarded term obeys |term| <= exp(-pi*t*x^2 + 2*pi*w*|x|) with |x| >= a, and
+consecutive terms on either side shrink at least by exp(-(2*pi*t*a - 2*pi*w)),
+so once that decrement is positive the tail is at most
 
-so the tail is at most 2*exp(-pi*t*a^2)/(1 - exp(-2*pi*t*a)).  For the
-two-variable series the modulation contributes at most exp(2*pi*|Im z|*|n+r|)
-per term and the same geometric argument applies once the decrement
-2*pi*t*a - 2*pi*|Im z| is positive.  Truncation levels are chosen as the
-smallest N whose certified tail is below the requested tolerance.
+    2*exp(-pi*t*a^2 + 2*pi*w*(a+2)) / (1 - exp(-(2*pi*t*a - 2*pi*w))).
 
-The tail bound covers truncation only.  rounding_bound adds the
-floating-point error of the partial sum itself; callers that certify a value
-to the last few units in the last place (the structure tensors of coord_ring)
-add the two.
+theta_const and theta_fn choose the smallest N whose bound is below the
+requested tolerance.
+
+The tail bound covers truncation only; it is ThetaResult.bound and the
+"tail_bound" of the theta command.  rounding_bound adds the floating-point
+error of the partial sum itself.  The structure tensors of coord_ring, which
+certify a value to the last few units in the last place, add the two;
+theta_const and theta_fn do not yet.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 _MAX_TERMS = 10**7
 
 _UNIT = 2.0 ** -53      # unit roundoff of an IEEE double
-
-
-@dataclass(frozen=True)
-class ThetaQuery:
-    """A theta evaluation request: characteristic r, modular parameter m,
-    optional elliptic argument z, and a certified tolerance.  theta_const and
-    theta_fn validate their arguments through it."""
-
-    r: Fraction
-    m: complex
-    z: complex | None = None
-    tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.m.imag <= 0:
-            raise ValueError("modular parameter must lie in the upper half-plane")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tolerance must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -65,32 +54,49 @@ class ThetaResult:
         return self.value
 
 
-def _reduce_characteristic(r) -> Fraction:
-    fr = Fraction(r)
-    return fr - math.floor(fr)
+def _reduce_characteristic(r) -> tuple[int, int]:
+    """r mod 1 as integers (num, den), 0 <= num < den, in lowest terms."""
+    if not isinstance(r, numbers.Rational):
+        r = Fraction(r)
+    den = int(r.denominator)
+    return int(r.numerator) % den, den
 
 
-def tail_bound(N: int, r, t: float) -> float:
-    """Certified bound on sum_{|n| > N} exp(-pi*t*(n+r)^2), r reduced mod 1."""
+def tail_bound(N: int, r, t: float, w: float = 0.0) -> float:
+    """Certified bound on sum_{|n| > N} exp(-pi*t*(n+r)^2 + 2*pi*w*|n+r|), r reduced mod 1.
+
+    w = |Im z| bounds the modulation of the two-variable series; w = 0 gives
+    the bound for theta constants.
+    """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if t <= 0:
         raise ValueError("need Im(m) > 0")
-    a = float(N + 1 - _reduce_characteristic(r))
-    lead = math.exp(-math.pi * t * a * a)
-    ratio = math.exp(-2.0 * math.pi * t * a)
+    num, den = _reduce_characteristic(r)
+    a = ((N + 1) * den - num) / den
+    dec = 2.0 * math.pi * t * a - 2.0 * math.pi * w
+    if dec <= 0:
+        return math.inf
+    ratio = math.exp(-dec)
     if ratio >= 1.0:
         return math.inf
+    lead = math.exp(-math.pi * t * a * a + 2.0 * math.pi * w * (a + 2.0))
     return 2.0 * lead / (1.0 - ratio)
 
 
-def theta_partial(r, m: complex, N: int) -> complex:
-    """Partial sum over |n| <= N of exp[pi*i*(n+r)^2*m], r reduced mod 1."""
-    rr = _reduce_characteristic(r)
+def theta_partial(r, m: complex, N: int, z: complex | None = None) -> complex:
+    """Partial sum over |n| <= N of exp[pi*i*(n+r)^2*m (+ 2*pi*i*(n+r)*z)], r reduced mod 1.
+
+    x = (n*den + num)/den is the correctly rounded double of n + r.
+    """
+    num, den = _reduce_characteristic(r)
     total = 0.0 + 0.0j
     for n in range(-N, N + 1):
-        x = float(n + rr)
-        total += cmath.exp(1j * math.pi * x * x * m)
+        x = (n * den + num) / den
+        arg = 1j * math.pi * x * x * m
+        if z is not None:
+            arg += 2j * math.pi * x * z
+        total += cmath.exp(arg)
     return total
 
 
@@ -105,7 +111,8 @@ def rounding_bound(r, m: complex, N: int) -> float:
     magnitudes.  The final factor and floor cover the bound's own arithmetic
     and underflowed terms.
     """
-    rr = float(_reduce_characteristic(r))
+    num, den = _reduce_characteristic(r)
+    rr = num / den
     t, am = m.imag, abs(m)
     local = total = 0.0
     for n in range(-N, N + 1):
@@ -135,36 +142,22 @@ def _certify_terms(bound_at, tol: float) -> int:
     return hi
 
 
+def _theta(r, m: complex, z: complex | None, tol: float) -> ThetaResult:
+    if m.imag <= 0:
+        raise ValueError("modular parameter must lie in the upper half-plane")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be a finite number > 0")
+    t = m.imag
+    w = 0.0 if z is None else abs(z.imag)
+    N = _certify_terms(lambda n: tail_bound(n, r, t, w), tol)
+    return ThetaResult(theta_partial(r, m, N, z), tail_bound(N, r, t, w), N)
+
+
 def theta_const(r, m: complex, tol: float = 1e-14) -> ThetaResult:
     """theta_r(m) with certified truncation error below tol."""
-    ThetaQuery(Fraction(r), m, tol=tol)
-    t = m.imag
-    N = _certify_terms(lambda n: tail_bound(n, r, t), tol)
-    return ThetaResult(theta_partial(r, m, N), tail_bound(N, r, t), N)
-
-
-def _fn_tail_bound(N: int, rr: Fraction, t: float, w: float) -> float:
-    a = float(N + 1 - rr)
-    dec = 2.0 * math.pi * (t * a - w)
-    if dec <= 0:
-        return math.inf
-    ratio = math.exp(-dec)
-    if ratio >= 1.0:
-        return math.inf
-    lead = math.exp(-math.pi * t * a * a + 2.0 * math.pi * w * (a + 2.0))
-    return 2.0 * lead / (1.0 - ratio)
+    return _theta(r, m, None, tol)
 
 
 def theta_fn(r, z: complex, m: complex, tol: float = 1e-14) -> ThetaResult:
     """Two-variable series sum_n exp[pi*i*(n+r)^2*m + 2*pi*i*(n+r)*z], certified."""
-    ThetaQuery(Fraction(r), m, complex(z), tol)
-    t = m.imag
-    w = abs(z.imag) if isinstance(z, complex) else 0.0
-    z = complex(z)
-    rr = _reduce_characteristic(r)
-    N = _certify_terms(lambda n: _fn_tail_bound(n, rr, t, w), tol)
-    total = 0.0 + 0.0j
-    for n in range(-N, N + 1):
-        x = float(n + rr)
-        total += cmath.exp(1j * math.pi * x * x * m + 2j * math.pi * x * z)
-    return ThetaResult(total, _fn_tail_bound(N, rr, t, w), N)
+    return _theta(r, m, complex(z), tol)

@@ -86,7 +86,7 @@ def test_vector_merges_equal_shapes():
     v = SchwartzVector.of(a, b)
     assert len(v.atoms) == 1
     assert v.atoms[0].poly == (1.0, 2.0)
-    assert (v - v).is_zero
+    assert (v - v).is_zero()
 
 
 def test_vector_json_round_trip():

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rmtorus.theta import (
-    ThetaQuery,
     ThetaResult,
+    _certify_terms,
     tail_bound,
     theta_const,
     theta_fn,
@@ -20,6 +22,67 @@ THETA0_I = 1.0864348112133080146
 THETA13_2I = 0.55879426688130456525
 THETA12_HALF_I = 0.84089055026634234586 + 0.34830827039169381268j
 THETAFN_REF = 0.9409357556338423202 + 0.14870195549561798467j
+
+
+# Fraction-based term loops and tail bounds, kept here only as references:
+# theta_partial and tail_bound must give the same doubles, except that the
+# z-series bound may differ by rounding of its decrement.
+
+def _reference_reduce(r) -> Fraction:
+    fr = Fraction(r)
+    return fr - math.floor(fr)
+
+
+def _reference_tail_bound(N, r, t):
+    a = float(N + 1 - _reference_reduce(r))
+    lead = math.exp(-math.pi * t * a * a)
+    ratio = math.exp(-2.0 * math.pi * t * a)
+    if ratio >= 1.0:
+        return math.inf
+    return 2.0 * lead / (1.0 - ratio)
+
+
+def _reference_fn_tail_bound(N, r, t, w):
+    a = float(N + 1 - _reference_reduce(r))
+    dec = 2.0 * math.pi * (t * a - w)
+    if dec <= 0:
+        return math.inf
+    ratio = math.exp(-dec)
+    if ratio >= 1.0:
+        return math.inf
+    lead = math.exp(-math.pi * t * a * a + 2.0 * math.pi * w * (a + 2.0))
+    return 2.0 * lead / (1.0 - ratio)
+
+
+def _reference_theta_partial(r, m, N):
+    rr = _reference_reduce(r)
+    total = 0.0 + 0.0j
+    for n in range(-N, N + 1):
+        x = float(n + rr)
+        total += cmath.exp(1j * math.pi * x * x * m)
+    return total
+
+
+def _reference_theta_fn_partial(r, z, m, N):
+    rr = _reference_reduce(r)
+    total = 0.0 + 0.0j
+    for n in range(-N, N + 1):
+        x = float(n + rr)
+        total += cmath.exp(1j * math.pi * x * x * m + 2j * math.pi * x * z)
+    return total
+
+
+characteristics = st.builds(lambda q, p: Fraction(p, q), st.integers(1, 12),
+                            st.integers(-36, 36))
+# Im(m) log-uniform in [1e-3, 3]: small Im(m) is where the geometric ratio of
+# the tail bound is far from 0 and its rounding shows
+modular = st.builds(complex, st.floats(-2, 2), st.floats(-3, 0.5).map(lambda e: 10 ** e))
+
+
+@st.composite
+def arguments(draw, m):
+    """z with |Im z| <= Im(m)/2, as in the benchmark's theta panel."""
+    return complex(draw(st.floats(-1, 1)), draw(st.floats(-0.5, 0.5)) * m.imag)
 
 
 def test_reference_values():
@@ -40,12 +103,19 @@ def test_result_is_certified():
 
 def test_tail_bound_dominates_observed_tail():
     rng = np.random.default_rng(7)
-    for _ in range(40):
+    for i in range(80):
         r = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 9)))
         m = complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0))
         N = int(rng.integers(1, 30))
-        diff = abs(theta_partial(r, m, N) - theta_partial(r, m, N + 10))
-        assert diff <= tail_bound(N, r, m.imag) + 1e-300
+        z, w = None, 0.0
+        if i % 2:
+            # |Im z| <= Im(m) < Im(m)*(N+1-r): the z-series bound is finite
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1) * m.imag)
+            w = abs(z.imag)
+        bound = tail_bound(N, r, m.imag, w)
+        assert math.isfinite(bound)
+        diff = abs(theta_partial(r, m, N, z) - theta_partial(r, m, N + 10, z))
+        assert diff <= bound + 1e-300
 
 
 def test_tail_bound_monotone():
@@ -79,9 +149,39 @@ def test_quasi_periodicity_z_plus_m():
     assert abs(lhs - rhs) < 1e-12
 
 
-def test_fn_reduces_to_const_at_zero():
-    r, m = Fraction(1, 3), 0.25 + 0.8j
-    assert abs(theta_fn(r, 0.0, m).value - theta_const(r, m).value) < 1e-13
+@given(r=characteristics, m=modular)
+def test_fn_reduces_to_const_at_zero(r, m):
+    fn, const = theta_fn(r, 0, m), theta_const(r, m)
+    assert (fn.value, fn.bound, fn.terms) == (const.value, const.bound, const.terms)
+
+
+tolerances = st.sampled_from([1e-6, 1e-10, 1e-14, 1e-16])
+
+
+@given(r=characteristics, m=modular, tol=tolerances, K=st.integers(0, 200))
+def test_const_matches_reference(r, m, tol, K):
+    assert theta_partial(r, m, K) == _reference_theta_partial(r, m, K)
+    assert tail_bound(K, r, m.imag) == _reference_tail_bound(K, r, m.imag)
+    res = theta_const(r, m, tol=tol)
+    N = _certify_terms(lambda n: _reference_tail_bound(n, r, m.imag), tol)
+    assert res.terms == N
+    assert res.value == _reference_theta_partial(r, m, N)
+    assert res.bound == _reference_tail_bound(N, r, m.imag)
+
+
+@given(r=characteristics, m=modular, tol=tolerances, K=st.integers(0, 60), data=st.data())
+def test_fn_matches_reference(r, m, tol, K, data):
+    z = data.draw(arguments(m))
+    t, w = m.imag, abs(z.imag)
+    assert theta_partial(r, m, K, z) == _reference_theta_fn_partial(r, z, m, K)
+    res = theta_fn(r, z, m, tol=tol)
+    N = _certify_terms(lambda n: _reference_fn_tail_bound(n, r, t, w), tol)
+    assert res.terms == N
+    assert res.value == _reference_theta_fn_partial(r, z, m, N)
+    # the reference rounds the decrement as 2*pi*(t*a - w), tail_bound as
+    # 2*pi*t*a - 2*pi*w, which keeps the constant series' bound unchanged
+    ref = _reference_fn_tail_bound(N, r, t, w)
+    assert abs(res.bound - ref) <= 1e-15 * ref
 
 
 def test_minimal_term_count():
@@ -96,9 +196,9 @@ def test_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         theta_fn(0, 0.0, complex(2, 0))
     with pytest.raises(ValueError):
-        ThetaQuery(Fraction(0), complex(1, -1))
+        theta_const(Fraction(0), complex(1, -1))
     with pytest.raises(ValueError):
-        ThetaQuery(Fraction(0), 1j, tol=0.0)
+        theta_const(Fraction(0), 1j, tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -108,7 +208,7 @@ def test_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         theta_fn(Fraction(1, 4), 0.1 + 0.2j, 0.3 + 1.1j, tol=tol)
     with pytest.raises(ValueError):
-        ThetaQuery(Fraction(0), 1j, tol=tol)
+        theta_const(Fraction(0), 1j, tol=tol)
 
 
 def test_uncertifiable_raises():
