@@ -356,6 +356,8 @@ def _cmd_ring(opts: dict) -> dict:
             report["theta_diagnostic"] = coord_ring.theta_match_report(st, tau)
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None
+    except coord_ring.RingRefused as exc:
+        raise ToleranceError(str(exc)) from None
     out = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
            "g": data.g.to_list(), "tau": _complex_pair(tau)}
     out.update(report)

@@ -14,12 +14,17 @@ s0 + PZ, P the least P > 0 with c_m | P and c_n | P*a_n, hence
     T[j, k, l] = theta_r(lambda*P^2*tau),   r = (s0 + j*c_m/c_N)/P,
 
 and T[j, k, l] = 0 when the coset is empty.  lambda*P^2 is an integer and r is
-kept as an integer numerator over P*c_N.  Each distinct label is evaluated
-once by theta.theta_const, and its certified tail plus the rounding bound of
-the partial sum bound every entry that shares it.  One basis pair per tensor
-is also multiplied by balanced_product and expanded on a sampling grid, as an
-independent witness.  mult contracts the tensors; a memo dict keyed by
-(m, n) lets one report build each tensor once.
+kept as an integer numerator over P*c_N.  The numerators are the multiples of
+gcd(c_m, c_N) below P*c_N, and theta_{-r} = theta_r folds each onto
+min(num, P*c_N - num), which halves them.  One N certifies every folded label
+(the tail bound grows with r, so N is certified at the largest), and
+theta.theta_partial sums all of them in one batch; the tail at that label plus
+the largest rounding bound of the batch bound every entry.  label_plan finds
+the folded labels and N from integers alone, so a tensor with too many
+entries or label terms is refused (RingRefused) before any array is built.
+One basis pair per tensor is also multiplied by balanced_product and expanded
+on a sampling grid, as an independent witness.  mult contracts the tensors; a
+memo dict keyed by (m, n) lets one report build each tensor once.
 
 The degree-0 piece is a formal unit line: the matrix power g^0 has c_0 = 0 and
 no module realizes it, so scalars act by plain rescaling.
@@ -41,12 +46,24 @@ import numpy as np
 
 from .heis_module import ModuleElement, balanced_product, holomorphic_element
 from .qfield import RMData
-from .theta import rounding_bound, theta_const
+from .theta import certified_terms, rounding_bound, tail_bound, theta_const, theta_partial
 
 _TWO_PI_I = 2j * math.pi
 
 # truncation tolerance of each label's theta constant, below its rounding error
 _THETA_TOL = 1e-16
+
+# work budget of one structure tensor: c_{m+n}*c_m*c_n entries (T(1, 5) of
+# the README data holds 990,000), and folded labels times 2N+1 theta terms.
+# Both the terms and the witness's averaging series grow like 1/sqrt(Im tau);
+# near real tau the witness takes nearly all the time, about 11 s for
+# README-data degree 2 at Im tau = 1e-7 (125,965 label terms in T(2, 1)).
+_MAX_TENSOR_ENTRIES = 10 ** 6
+_MAX_LABEL_TERMS = 2 * 10 ** 5
+
+
+class RingRefused(RuntimeError):
+    """A structure tensor over the work budget, or one whose entries cannot be certified."""
 
 
 def piece_dim(n: int, data: RMData) -> int:
@@ -205,7 +222,8 @@ class StructureTensor:
     max_cond: float               # condition number of the witness's expansion
 
     def contract(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("jkl,k,l->j", self.tensor, x, y)
+        """T(x, y); x and y may carry the same leading batch axes."""
+        return np.einsum("jkl,...k,...l->...j", self.tensor, x, y)
 
 
 def tensor_labels(m: int, n: int, data: RMData) -> tuple[np.ndarray, int, int]:
@@ -225,26 +243,58 @@ def tensor_labels(m: int, n: int, data: RMData) -> tuple[np.ndarray, int, int]:
     return labels, P * cN, cN * P * P // (cm * cn)
 
 
+def label_plan(m: int, n: int, data: RMData, tau: complex) -> tuple[int, int, int, int]:
+    """(step, denominator, level, N) of T(m, n), from integers alone.
+
+    The label numerators (tensor_labels) are the subgroup of Z/(P*c_N)
+    generated by c_N and c_m, the multiples of step = gcd(c_m, c_N); folded
+    they are step*k, 0 <= k <= P*c_N/(2*step).  N certifies the tail of the
+    largest folded label below _THETA_TOL, hence of every one.  Raises
+    RingRefused, naming the estimate, when the tensor has more than
+    _MAX_TENSOR_ENTRIES entries or its folded labels times 2N+1 terms exceed
+    _MAX_LABEL_TERMS.
+    """
+    cm, cn, cN = piece_dim(m, data), piece_dim(n, data), piece_dim(m + n, data)
+    entries = cN * cm * cn
+    if entries > _MAX_TENSOR_ENTRIES:
+        raise RingRefused(f"T({m}, {n}) would hold {cN} x {cm} x {cn} = {entries} entries, "
+                          f"above the budget of {_MAX_TENSOR_ENTRIES}")
+    P = math.lcm(cm, cn)
+    den, step = P * cN, math.gcd(cm, cN)
+    level = cN * P * P // (cm * cn)
+    count = den // (2 * step) + 1
+    try:
+        N = certified_terms(Fraction(step * (count - 1), den), (level * complex(tau)).imag,
+                            _THETA_TOL)
+    except RuntimeError as exc:
+        raise RingRefused(f"T({m}, {n}): {exc}") from None
+    if count * (2 * N + 1) > _MAX_LABEL_TERMS:
+        raise RingRefused(f"T({m}, {n}) would sum {count} theta labels x {2 * N + 1} terms = "
+                          f"{count * (2 * N + 1)}, above the budget of {_MAX_LABEL_TERMS}")
+    return step, den, level, N
+
+
 def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e-9) -> StructureTensor:
-    """T(m, n) gathered from one certified theta constant per distinct label.
+    """T(m, n) gathered from one batch of certified theta constants, one per folded label.
 
     The witness is the basis pair (0, 0), multiplied by balanced_product at
     ``tol`` and expanded over the R_{m+n} basis.  max_residual is the largest
     of the entry bound and the witness's gap to T[:, 0, 0], both relative to
-    max|T|, and the witness's own relative residual.
+    max|T|, and the witness's own relative residual.  A non-finite entry bound
+    raises RingRefused before the witness is built.
     """
-    labels, den, level = tensor_labels(m, n, data)
-    nums, where = np.unique(labels.ravel(), return_inverse=True)
+    step, den, level, N = label_plan(m, n, data, tau)
     mt = level * complex(tau)
-    values = np.zeros(nums.size, dtype=complex)
-    bound = 0.0
-    for i, num in enumerate(nums.tolist()):
-        if num >= 0:
-            r = Fraction(num, den)
-            th = theta_const(r, mt, tol=_THETA_TOL)
-            values[i] = th.value
-            bound = max(bound, th.bound + rounding_bound(r, mt, th.terms))
-    T = values[where].reshape(labels.shape)
+    nums = np.arange(0, den // 2 + 1, step)
+    values = theta_partial(nums, den, mt, N)
+    bound = tail_bound(N, Fraction(int(nums[-1]), den), mt.imag) + float(
+        np.max(rounding_bound(nums, den, mt, N)))
+    if not math.isfinite(bound):
+        raise RingRefused(f"T({m}, {n}): the theta entries cannot be certified "
+                          f"at tau = {complex(tau)} (entry bound {bound})")
+    labels, _, _ = tensor_labels(m, n, data)
+    k = labels // step                  # -1 where T is 0, which picks the appended 0
+    T = np.append(values, 0.0)[np.minimum(k, den // step - k)]
     prod, prep = balanced_product(holomorphic_element(data, m, tau),
                                   holomorphic_element(data, n, tau), tol=tol)
     vec, res = _expand(prod, _holomorphic_grid(data, tau, m + n))
@@ -336,6 +386,19 @@ def _null_space(M: np.ndarray, rel_tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _relation_span(K: np.ndarray, c1: int) -> np.ndarray:
+    """Columns spanning K (x) R_1 + R_1 (x) K inside C^{c1^3}, K's columns in C^{c1^2}.
+
+    Column (i, r, side) is k_i (x) e_r for side 0 and e_r (x) k_i for side 1.
+    """
+    dim_K = K.shape[1]
+    Kt = K.reshape(c1, c1, dim_K)
+    eye = np.eye(c1, dtype=complex)
+    S = np.stack([np.einsum("pqi,ts->pqtis", Kt, eye),
+                  np.einsum("ps,qti->pqtis", eye, Kt)], axis=-1)
+    return S.reshape(c1 ** 3, 2 * c1 * dim_K)
+
+
 def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
                     tensors: dict | None = None) -> dict:
     """Degree-3 quadraticity: span(K(x)R_1 + R_1(x)K) = ker(mu_3), K = ker(mu_2)."""
@@ -352,15 +415,7 @@ def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
     M3 = np.einsum("jtr,tpq->jpqr", t21.tensor, t11.tensor).reshape(c3, c1 ** 3)
     ker3 = c1 ** 3 - _numerical_rank(M3, rank_tol)
 
-    # S = K (x) R_1 + R_1 (x) K inside C^{c1^3}
-    cols = []
-    eye = np.eye(c1, dtype=complex)
-    for i in range(dim_K):
-        k = K[:, i].reshape(c1, c1)
-        for r in range(c1):
-            cols.append(np.einsum("pq,r->pqr", k, eye[r]).reshape(-1))
-            cols.append(np.einsum("p,qr->pqr", eye[r], k).reshape(-1))
-    S = np.column_stack(cols) if cols else np.zeros((c1 ** 3, 0), dtype=complex)
+    S = _relation_span(K, c1)
     span_S = _numerical_rank(S, rank_tol)
 
     # S must sit inside ker(mu_3) by associativity; record the violation level
@@ -386,24 +441,22 @@ def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: 
     """Worst relative defect of (uv)w vs u(vw) over random degree-1 triples.
 
     (uv)w contracts T(2,1) with T(1,1) and u(vw) contracts T(1,2) with T(1,1);
-    T(1,2) and T(2,1) come from separate balanced products.
+    T(1,2) and T(2,1) come from separate balanced products.  The triples are
+    drawn in one call, in the order u, v, w (real parts, then imaginary) per
+    triple, and contracted as one batch.
     """
+    if triples == 0:
+        return 0.0
     if tensors is None:
         tensors = {}
-    rng = np.random.default_rng(seed)
     c1 = piece_dim(1, data)
-    worst = 0.0
-    for _ in range(triples):
-        u, v, w = (
-            RingElement.from_piece(data, tau, 1, rng.normal(size=c1) + 1j * rng.normal(size=c1))
-            for _ in range(3)
-        )
-        uv, _ = mult(u, v, tensors)
-        lhs, _ = mult(uv, w, tensors)
-        vw, _ = mult(v, w, tensors)
-        rhs, _ = mult(u, vw, tensors)
-        worst = max(worst, lhs.distance(rhs) / max(rhs.norm(), 1e-300))
-    return worst
+    draws = np.random.default_rng(seed).normal(size=(triples, 3, 2, c1))
+    u, v, w = (draws[:, i, 0] + 1j * draws[:, i, 1] for i in range(3))
+    t11, t21, t12 = (cached_tensor(tensors, p, q, data, tau) for p, q in ((1, 1), (2, 1), (1, 2)))
+    lhs = t21.contract(t11.contract(u, v), w)
+    rhs = t12.contract(u, t11.contract(v, w))
+    defect = np.max(np.abs(lhs - rhs), axis=1) / np.maximum(np.max(np.abs(rhs), axis=1), 1e-300)
+    return float(np.max(defect))
 
 
 def theta_match_report(st: StructureTensor, tau: complex, entries: int = 8) -> list[dict]:
@@ -434,6 +487,13 @@ def ring_report(data: RMData, tau: complex, max_degree: int = 3,
     (keyed by (m, n)) that the checks share; without one, a memo is made and
     dropped on return.
     """
+    # every tensor the report may build passes label_plan before any is built;
+    # c_n grows with n, so a huge max_degree is refused after a few degrees
+    for n in range(1, max_degree):
+        label_plan(1, n, data, tau)
+    if assoc_triples or max_degree >= 3:
+        label_plan(2, 1, data, tau)
+        label_plan(1, 2, data, tau)
     memo = {} if tensors is None else tensors
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
     gen = check_generation(data, tau, max_degree, tensors=memo)

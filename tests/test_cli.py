@@ -315,6 +315,19 @@ def test_theta_uncertifiable_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--r", "1/3", "--m", "0+1i", "--z", "0+1e3i"],
+    ["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]", "--tau", "1e300+1i"],
+    ["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]", "--tau", "0.3+1e300i"],
+], ids=["theta-huge-z", "ring-huge-re-tau", "ring-huge-im-tau"])
+def test_overflow_is_exit_3(capsys, argv):
+    # a majorant or rounding bound beyond the double range is not a certificate
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err and "Infinity" not in err
+
+
 def test_theta_rejects_bad_inputs(capsys):
     code, _, _ = _run(capsys, "theta", "--r", "1/3", "--m", "1-2i")
     assert code == 2
@@ -397,6 +410,26 @@ def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
     assert code == 0
     assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
     assert _report(out)[0]["theta_diagnostic"]
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("built past the budget")
+
+
+@pytest.mark.parametrize("extra,estimate", [
+    (["--max-degree", "7"], "6786000 entries, above the budget of 1000000"),
+    (["--max-degree", "1000000000"], "6786000 entries"),
+    (["--tau", "0.3+1e-9i", "--max-degree", "2"], "x 60691 terms = 485528, above the budget"),
+], ids=["entries", "huge-degree", "label-terms"])
+def test_ring_over_budget_is_refused_up_front(capsys, monkeypatch, extra, estimate):
+    monkeypatch.setattr(coord_ring, "structure_tensor", _fail)
+    monkeypatch.setattr(coord_ring, "balanced_product", _fail)
+    monkeypatch.setattr(heis_module, "balanced_product", _fail)
+    code, out, err = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
+                          *extra)
+    assert code == 3
+    assert out == ""
+    assert estimate in err
 
 
 def test_ring_wrong_matrix_for_theta(capsys):

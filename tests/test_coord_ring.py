@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,12 +13,15 @@ from rmtorus.cli import _json_default
 from rmtorus.coord_ring import (
     _expand,
     _holomorphic_grid,
+    _null_space,
+    _relation_span,
     RingElement,
     associativity_residual,
     check_generation,
     check_quadratic,
     cyclic_shifts,
     cyclic_symmetry_residual,
+    label_plan,
     mult,
     piece_dim,
     ring_report,
@@ -28,6 +32,7 @@ from rmtorus.coord_ring import (
 from rmtorus.heis_module import balanced_product, holomorphic_element
 from rmtorus.heis_rep import FiniteVector
 from rmtorus.qfield import QuadIrr, RMData, SL2Matrix
+from rmtorus.theta import tail_bound
 
 TEST5 = RMData(QuadIrr.parse("(-5+sqrt5)/10"))
 README = RMData(QuadIrr.parse("(-5+sqrt5)/10"), SL2Matrix.from_list([[-1, -1], [5, 4]]))
@@ -273,3 +278,129 @@ def test_near_real_tau_report_is_generated():
     assert rep["generation"] == [True, True]
     assert rep["quadratic"] is True
     assert all(t["max_residual"] < 1e-8 for t in rep["tensors"])
+
+
+# -- one folded theta batch per tensor; batched checks ----------------------------
+
+@pytest.mark.parametrize("mn,count", [((1, 1), 8), ((1, 2), 61), ((2, 1), 61), ((1, 3), 421),
+                                      ((1, 4), 2888)])
+def test_one_kernel_call_per_tensor_on_folded_labels(monkeypatch, mn, count):
+    # theta_{-r} = theta_r: 15/120/120/840/5775 distinct labels fold to about half
+    calls = []
+    kernel = coord_ring.theta_partial
+
+    def counting(nums, den, m, N, z=None):
+        calls.append((len(nums), den, N))
+        return kernel(nums, den, m, N, z)
+
+    monkeypatch.setattr(coord_ring, "theta_partial", counting)
+    st = structure_tensor(*mn, README, TAU)
+    assert [c[0] for c in calls] == [count]
+    # the folded batch is exactly the distinct labels, folded
+    labels = st.labels[st.labels >= 0]
+    folded = np.unique(np.minimum(labels, st.denominator - labels))
+    assert folded.size == count
+    step, den, level, N = label_plan(*mn, README, TAU)
+    assert (den, level, N) == (st.denominator, st.level, calls[0][2])
+    assert np.array_equal(folded, np.arange(0, den // 2 + 1, step))
+
+
+@pytest.mark.parametrize("tau", [TAU, 0.3 + 0.001j], ids=["readme", "near-real"])
+def test_one_n_certifies_the_largest_folded_label(tau):
+    # the tail bound grows with r, so the N of the largest folded label
+    # certifies every label; the N of any smaller one may not
+    for mn in ((1, 1), (2, 1), (1, 3)):
+        step, den, level, N = label_plan(*mn, README, tau)
+        top, t = Fraction(den // 2 // step * step, den), (level * tau).imag
+        assert tail_bound(N, top, t) <= coord_ring._THETA_TOL
+        assert N == 1 or tail_bound(N - 1, top, t) > coord_ring._THETA_TOL
+
+
+def _reference_relation_span(K, c1):
+    cols = []
+    eye = np.eye(c1, dtype=complex)
+    for i in range(K.shape[1]):
+        k = K[:, i].reshape(c1, c1)
+        for r in range(c1):
+            cols.append(np.einsum("pq,r->pqr", k, eye[r]).reshape(-1))
+            cols.append(np.einsum("p,qr->pqr", eye[r], k).reshape(-1))
+    return np.column_stack(cols) if cols else np.zeros((c1 ** 3, 0), dtype=complex)
+
+
+def test_relation_span_matches_column_loop():
+    # the README kernel K = ker(mu_2) (dim 10), and a seeded K with c1 = 4
+    t11 = structure_tensor(1, 1, README, TAU)
+    rng = np.random.default_rng(4)
+    for c1, K in ((5, _null_space(t11.tensor.reshape(15, 25), 1e-7)),
+                  (4, rng.normal(size=(16, 3)) - 1j * rng.normal(size=(16, 3)))):
+        S = _relation_span(K, c1)
+        assert S.shape == (c1 ** 3, 2 * c1 * K.shape[1])
+        assert np.array_equal(S, _reference_relation_span(K, c1))
+        assert _relation_span(K[:, :0], c1).shape == (c1 ** 3, 0)
+
+
+def _reference_associativity(data, tau, triples, seed, tensors):
+    rng = np.random.default_rng(seed)
+    c1 = piece_dim(1, data)
+    worst = 0.0
+    for _ in range(triples):
+        u, v, w = (
+            RingElement.from_piece(data, tau, 1, rng.normal(size=c1) + 1j * rng.normal(size=c1))
+            for _ in range(3)
+        )
+        uv, _ = mult(u, v, tensors)
+        lhs, _ = mult(uv, w, tensors)
+        vw, _ = mult(v, w, tensors)
+        rhs, _ = mult(u, vw, tensors)
+        worst = max(worst, lhs.distance(rhs) / max(rhs.norm(), 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("data,triples,seed", [(README, 20, 0), (README, 7, 3), (TEST5, 1, 967),
+                                               (ROOT2, 5, 1)],
+                         ids=["readme-20", "readme-7", "test5-1", "sqrt2-5"])
+def test_associativity_matches_mult_loop(data, triples, seed):
+    memo = {}
+    got = associativity_residual(data, TAU, triples, seed, memo)
+    assert got == _reference_associativity(data, TAU, triples, seed, memo)
+    assert 0.0 < got < 1e-8
+
+
+def test_associativity_without_triples_builds_nothing(monkeypatch):
+    monkeypatch.setattr(coord_ring, "structure_tensor", _fail)
+    assert associativity_residual(README, TAU, triples=0) == 0.0
+
+
+def test_batched_contract_matches_single():
+    st = structure_tensor(2, 1, README, TAU)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(4, 15)) + 1j * rng.normal(size=(4, 15))
+    y = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    got = st.contract(x, y)
+    assert got.shape == (4, 40)
+    for b in range(4):
+        assert np.allclose(got[b], st.contract(x[b], y[b]), rtol=1e-14, atol=0)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("built past the budget")
+
+
+@pytest.mark.parametrize("tau,max_degree,estimate", [
+    (TAU, 7, "1885 x 5 x 720 = 6786000 entries"),
+    (TAU, 10 ** 9, "1885 x 5 x 720 = 6786000 entries"),
+    (0.3 + 1e-9j, 2, "T\\(1, 1\\) would sum 8 theta labels x 60691 terms = 485528"),
+], ids=["degree-7", "degree-1e9", "near-real"])
+def test_ring_report_refuses_over_budget_before_building(monkeypatch, tau, max_degree, estimate):
+    monkeypatch.setattr(coord_ring, "structure_tensor", _fail)
+    monkeypatch.setattr(coord_ring, "balanced_product", _fail)
+    with pytest.raises(coord_ring.RingRefused, match=estimate):
+        ring_report(README, tau, max_degree=max_degree)
+
+
+def test_non_finite_entry_bound_is_refused(monkeypatch):
+    # |tau| near the double range: the rounding bound of the phases overflows
+    monkeypatch.setattr(coord_ring, "balanced_product", _fail)
+    for tau in (1e300 + 1j, 0.3 + 1e300j):
+        with pytest.raises(coord_ring.RingRefused, match="cannot be certified"):
+            structure_tensor(1, 1, README, tau)

@@ -2,14 +2,17 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rmtorus import theta as theta_mod
 from rmtorus.theta import (
     ThetaResult,
     _certify_terms,
+    rounding_bound,
     tail_bound,
     theta_const,
     theta_fn,
@@ -72,6 +75,12 @@ def _reference_theta_fn_partial(r, z, m, N):
     return total
 
 
+def _partial(r, m, N, z=None):
+    """theta_partial on a batch of one characteristic."""
+    r = Fraction(r)
+    return theta_partial([r.numerator], r.denominator, m, N, z)[0]
+
+
 characteristics = st.builds(lambda q, p: Fraction(p, q), st.integers(1, 12),
                             st.integers(-36, 36))
 # Im(m) log-uniform in [1e-3, 3]: small Im(m) is where the geometric ratio of
@@ -114,7 +123,7 @@ def test_tail_bound_dominates_observed_tail():
             w = abs(z.imag)
         bound = tail_bound(N, r, m.imag, w)
         assert math.isfinite(bound)
-        diff = abs(theta_partial(r, m, N, z) - theta_partial(r, m, N + 10, z))
+        diff = abs(_partial(r, m, N, z) - _partial(r, m, N + 10, z))
         assert diff <= bound + 1e-300
 
 
@@ -160,7 +169,7 @@ tolerances = st.sampled_from([1e-6, 1e-10, 1e-14, 1e-16])
 
 @given(r=characteristics, m=modular, tol=tolerances, K=st.integers(0, 200))
 def test_const_matches_reference(r, m, tol, K):
-    assert theta_partial(r, m, K) == _reference_theta_partial(r, m, K)
+    assert _partial(r, m, K) == _reference_theta_partial(r, m, K)
     assert tail_bound(K, r, m.imag) == _reference_tail_bound(K, r, m.imag)
     res = theta_const(r, m, tol=tol)
     N = _certify_terms(lambda n: _reference_tail_bound(n, r, m.imag), tol)
@@ -173,7 +182,7 @@ def test_const_matches_reference(r, m, tol, K):
 def test_fn_matches_reference(r, m, tol, K, data):
     z = data.draw(arguments(m))
     t, w = m.imag, abs(z.imag)
-    assert theta_partial(r, m, K, z) == _reference_theta_fn_partial(r, z, m, K)
+    assert _partial(r, m, K, z) == _reference_theta_fn_partial(r, z, m, K)
     res = theta_fn(r, z, m, tol=tol)
     N = _certify_terms(lambda n: _reference_fn_tail_bound(n, r, t, w), tol)
     assert res.terms == N
@@ -224,3 +233,71 @@ def test_tail_bound_guards():
     with pytest.raises(ValueError):
         tail_bound(3, 0, 0.0)
     assert tail_bound(1, 0, 1e-300) == math.inf
+
+
+# -- the batched kernel --------------------------------------------------------
+
+
+def _reference_batch(nums, den, m, N, z):
+    if z is None:
+        return [_reference_theta_partial(Fraction(k, den), m, N) for k in nums]
+    return [_reference_theta_fn_partial(Fraction(k, den), z, m, N) for k in nums]
+
+
+@given(den=st.integers(1, 40), data=st.data(), m=modular, K=st.integers(0, 60),
+       with_z=st.booleans())
+def test_batched_kernel_matches_reference(den, data, m, K, with_z):
+    # every label of a batch (a batch of one included) is the term-by-term
+    # loop's double, signed zeros too
+    nums = data.draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=12))
+    z = data.draw(arguments(m)) if with_z else None
+    got = theta_partial(nums, den, m, K, z)
+    assert got.shape == (len(nums),)
+    want = _reference_batch(nums, den, m, K, z)
+    assert [repr(complex(g)) for g in got] == [repr(w) for w in want]
+
+
+def test_batched_kernel_across_blocks(monkeypatch):
+    # 7 terms x labels per block: 13 labels split over two column blocks and
+    # 81 terms over one row at a time, each label still summed in term order
+    monkeypatch.setattr(theta_mod, "_BLOCK", 7)
+    m, z = 0.3 + 0.05j, 0.1 + 0.01j
+    for zz in (None, z):
+        got = theta_partial(range(13), 13, m, 40, zz)
+        assert [repr(complex(g)) for g in got] == \
+            [repr(w) for w in _reference_batch(range(13), 13, m, 40, zz)]
+
+
+def test_batched_kernel_huge_denominator():
+    # (N+1)*den beyond 2^53: the abscissae stay Python integers
+    r = Fraction(1, 10 ** 20 + 7)
+    assert _partial(r, 0.2 + 0.5j, 30) == _reference_theta_partial(r, 0.2 + 0.5j, 30)
+    assert theta_partial([], 5, 1j, 3).shape == (0,)
+
+
+def _mp_partial(num, den, m, N):
+    r = mpmath.mpf(num) / den
+    mm = mpmath.mpc(m.real, m.imag)
+    return sum(mpmath.expjpi((n + r) ** 2 * mm) for n in range(-N, N + 1))
+
+
+@pytest.mark.parametrize("den,m,N", [(75, 15 * (0.3 + 1.1j), 1), (600, 120 * (0.3 + 0.001j), 12),
+                                     (7, 0.37 + 0.02j, 40), (12, 3.9 + 0.5j, 6)])
+def test_rounding_bound_covers_exact_partial_sums(den, m, N):
+    nums = list(range(0, den // 2 + 1, max(1, den // 30)))
+    got = theta_partial(nums, den, m, N)
+    bound = rounding_bound(nums, den, m, N)
+    assert bound.shape == (len(nums),) and np.all(bound > 0)
+    with mpmath.workdps(40):
+        for k, g, b in zip(nums, got, bound):
+            assert float(abs(complex(g) - _mp_partial(k, den, m, N))) <= b
+
+
+def test_overflowing_majorant_reads_infinite():
+    # exp(-pi*t*a^2 + 2*pi*w*(a+2)) beyond the double range: not yet certified
+    assert tail_bound(1500, Fraction(1, 3), 1.0, 1e3) == math.inf
+    assert tail_bound(3000, Fraction(1, 3), 1.0, 1e3) < 1e-14
+    # certified, but the sum itself overflows: refused, not a traceback
+    with pytest.raises(RuntimeError):
+        theta_fn(Fraction(1, 3), 1e3j, 1j)
+    assert not np.all(np.isfinite(rounding_bound([1, 2], 75, 0.3 + 1e300j, 1)))
