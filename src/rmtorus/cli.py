@@ -233,22 +233,23 @@ def _cmd_algebra(opts: dict) -> dict:
     tau = 0.3 + 1.1j
     for _ in range(count):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
+        xy = x * y
         scale = max(x.norm1() * y.norm1() * z.norm1(), 1.0)
         res["associativity"] = max(res["associativity"],
-                                   ((x * y) * z - x * (y * z)).norm1() / scale)
+                                   (xy * z - x * (y * z)).norm1() / scale)
         res["star_involution"] = max(res["star_involution"],
                                      (x.star().star() - x).norm1() / max(x.norm1(), 1.0))
         res["star_antimult"] = max(res["star_antimult"],
-                                   ((x * y).star() - y.star() * x.star()).norm1()
+                                   (xy.star() - y.star() * x.star()).norm1()
                                    / max(x.norm1() * y.norm1(), 1.0))
         res["tracial"] = max(res["tracial"],
-                             abs((x * y).trace() - (y * x).trace())
+                             abs(xy.trace() - (y * x).trace())
                              / max(x.norm1() * y.norm1(), 1.0))
         t = (x * x.star()).trace()
         res["trace_positivity"] = max(res["trace_positivity"],
                                       max(-t.real, abs(t.imag)) / max(x.norm1() ** 2, 1.0))
         for which in ("d1", "d2", "dtau"):
-            lhs = (x * y).derive(which, tau)
+            lhs = xy.derive(which, tau)
             rhs = x.derive(which, tau) * y + x * y.derive(which, tau)
             res["leibniz"] = max(res["leibniz"], (lhs - rhs).norm1() / scale)
     worst = max(res.values())

@@ -47,7 +47,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class QuadIrr:
     """Element (p + q*sqrt(D))/r of a real quadratic field (or of Q)."""
 
-    __slots__ = ("p", "q", "r", "D")
+    __slots__ = ("p", "q", "r", "D", "_hash")
 
     def __init__(self, p: int, q: int, r: int, D: int):
         if r == 0:
@@ -248,9 +248,15 @@ class QuadIrr:
         return (self.p, self.q, self.r, self.D) == (o.p, o.q, o.r, o.D)
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.r, self.D))
+        # computed on first use and kept: unit_phase's cache hashes the same
+        # theta on every lookup, while most intermediate values are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash(Fraction(self.p, self.r)) if self.q == 0 else hash((self.p, self.q, self.r, self.D))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rmtorus import cli, coord_ring, heis_module
+from rmtorus.torus_alg import TorusElement
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
 
 
@@ -241,6 +242,18 @@ def test_algebra_passes(capsys):
                                      "star_antimult", "tracial", "trace_positivity",
                                      "leibniz"}
     assert payload["config"]["count"] == 10
+
+
+def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
+    # the array kernel against the per-term loop: same stdout byte for byte
+    from test_torus_alg import _reference_mul
+
+    argv = ["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"]
+    code, out, _ = _run(capsys, *argv)
+    monkeypatch.setattr(TorusElement, "__mul__", _reference_mul)
+    ref_code, ref_out, _ = _run(capsys, *argv)
+    assert (code, out) == (ref_code, ref_out)
+    assert code == 0
 
 
 def test_algebra_impossible_tolerance(capsys):

@@ -234,6 +234,22 @@ def test_rmdata_validation():
     assert data.power(3).c == 40
 
 
+def test_cached_hash_is_unchanged():
+    # equal values hash equal, rationals as their Fraction and int twins, and
+    # the cached hash is the one the fields give
+    for t in ALL_THETAS + [QuadIrr.from_rational(Fraction(-7, 3)), QuadIrr(6, 0, 4, 5),
+                           QuadIrr(5, 0, 1, 2), QuadIrr(0, 0, 9, 2)]:
+        want = hash(Fraction(t.p, t.r)) if t.is_rational else hash((t.p, t.q, t.r, t.D))
+        assert hash(t) == want and hash(t) == want  # computed, then cached
+        assert hash(QuadIrr.parse(str(t))) == hash(t)
+        if t.is_rational:
+            assert t == t.as_fraction() and hash(t) == hash(t.as_fraction())
+    assert hash(QuadIrr(6, 0, 4, 5)) == hash(Fraction(3, 2)) == hash(1.5)
+    assert hash(QuadIrr(5, 0, 1, 2)) == hash(5)
+    assert hash(QuadIrr(2, 2, 4, 3)) == hash(QuadIrr.parse("(1+sqrt3)/2"))
+    assert {QuadIrr(0, 0, 9, 2): 1}[0] == 1
+
+
 def test_unit_phase_periodicity():
     t = GOLDEN
     z1 = unit_phase(t, 1)

@@ -1,11 +1,13 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rmtorus import torus_alg
 from rmtorus.qfield import QuadIrr
 from rmtorus.torus_alg import TorusElement, phase
 
@@ -72,6 +74,95 @@ def test_product_matches_per_term_reference(theta, xs, ys):
     x, y = TorusElement(theta, xs), TorusElement(theta, ys)
     got, want = x * y, _reference_mul(x, y)
     assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def _same_items(got, want):
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def test_kernel_matches_reference_40x40():
+    rng = np.random.default_rng(11)
+    x, y = _random_element(rng, GOLDEN, 40), _random_element(rng, GOLDEN, 40)
+    _same_items(x * y, _reference_mul(x, y))
+
+
+def test_kernel_forms_products_in_real_arithmetic():
+    # numpy's complex multiply (a*b*c on complex arrays) rounds 156 of these
+    # 262 coefficients differently
+    rng = np.random.default_rng(7)
+    theta = QuadIrr.parse("sqrt2")
+    x, y = _random_element(rng, theta), _random_element(rng, theta)
+    _same_items(x * y, _reference_mul(x, y))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, torus_alg._BLOCK])
+def test_kernel_across_blocks(monkeypatch, block):
+    # (x*y)*z spans several blocks of the default size (4096 pairs); small
+    # blocks hold one row of pairs each
+    monkeypatch.setattr(torus_alg, "_BLOCK", block)
+    rng = np.random.default_rng(12)
+    x, y, z = (_random_element(rng, TEST5, 30) for _ in range(3))
+    xy = _reference_mul(x, y)
+    assert len(xy.coeffs) * len(z.coeffs) > 2 * 4096
+    _same_items(xy * z, _reference_mul(xy, z))
+    _same_items(x * y, xy)
+
+
+def test_kernel_float_theta_and_empty_operands():
+    rng = np.random.default_rng(13)
+    x, y = _random_element(rng, 0.3178), _random_element(rng, 0.3178)
+    _same_items(x * y, _reference_mul(x, y))
+    zero = TorusElement(0.3178)
+    for got in (zero * y, x * zero, zero * zero):
+        assert got.coeffs == {}
+
+
+def test_kernel_on_sparse_exponents():
+    # keys far apart, up to the int64 edge: the kernel numbers the keys that
+    # occur instead of every cell of their bounding box
+    rng = np.random.default_rng(14)
+    coeffs = [{(int(n), int(m)): complex(*rng.standard_normal(2))
+               for n, m in rng.integers(-2**62, 2**62, size=(9, 2))} for _ in range(2)]
+    coeffs[0][(0, 0)] = 1.5 - 2j
+    coeffs[1][(1, -1)] = -0.5j
+    x, y = TorusElement(GOLDEN, coeffs[0]), TorusElement(GOLDEN, coeffs[1])
+    _same_items(x * y, _reference_mul(x, y))
+    _same_items(x * x.star(), _reference_mul(x, x.star()))
+
+
+def test_linear_operations_match_validating_constructor():
+    rng = np.random.default_rng(15)
+    x, y = _random_element(rng, GOLDEN, 30), _random_element(rng, GOLDEN, 30)
+    y.coeffs[next(iter(x.coeffs))] = -x.coeffs[next(iter(x.coeffs))]  # a sum that cancels
+    tau = 0.3 + 1.1j
+
+    def built(coeffs):
+        return TorusElement(GOLDEN, coeffs)
+
+    def merged(op):
+        out = dict(x.coeffs)
+        for k, b in y.coeffs.items():
+            out[k] = op(out.get(k, 0.0), b)
+        return built(out)
+
+    cases = [
+        (x + y, merged(operator.add)),
+        (x - y, merged(operator.sub)),
+        (-x, built({k: -a for k, a in x.coeffs.items()})),
+        (x.scaled(0.5 - 2j), built({k: (0.5 - 2j) * a for k, a in x.coeffs.items()})),
+        (x.scaled(0), TorusElement(GOLDEN)),
+        (x.star(), built({(-n, -m): a.conjugate() * phase(GOLDEN, n * m).conjugate()
+                          for (n, m), a in x.coeffs.items()})),
+        (x.derive("d1"), built({(n, m): 2j * math.pi * n * a for (n, m), a in x.coeffs.items()})),
+        (x.derive("d2"), built({(n, m): 2j * math.pi * m * a for (n, m), a in x.coeffs.items()})),
+        (x.derive("dtau", tau), built({(n, m): 2j * math.pi * (tau * n + m) * a
+                                       for (n, m), a in x.coeffs.items()})),
+    ]
+    for got, want in cases:
+        _same_items(got, want)
+        assert all(type(a) is complex for a in got.coeffs.values())
+    assert x.scaled(np.float64(2.0)).coeffs == x.scaled(2.0).coeffs
+    assert all(type(a) is complex for a in x.scaled(np.float64(2.0)).coeffs.values())
 
 
 @given(quad_irrs)
