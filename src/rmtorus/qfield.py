@@ -9,8 +9,9 @@ A value is stored in the canonical form (p + q*sqrt(D)) / r with
 so equality, hashing and comparisons are structural.  All predicates that the
 rest of the package relies on (signs, floors, lattice membership, fixed-point
 checks) are decided in integer arithmetic; floats only appear when a value is
-explicitly converted via ``float()``, which evaluates sqrt(D)
-with 35 digits of mpmath scratch precision before rounding.
+explicitly converted via ``float()``, which returns the correctly rounded
+double from an integer bracket of sqrt(D), as ``unit_phase`` does for the
+fractional part of k*t.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-import mpmath
 
 _RATIONAL_D = 2
 
@@ -274,32 +273,12 @@ class QuadIrr:
         return -self if self.sign() < 0 else self
 
     def __floor__(self) -> int:
-        if self.q == 0:
-            return self.p // self.r
-        s = isqrt(self.q * self.q * self.D)
-        num_lo = self.p + (s if self.q > 0 else -s - 1)
-        n = num_lo // self.r
-        while self - (n + 1) >= 0:
-            n += 1
-        while self - n < 0:
-            n -= 1
-        return n
-
-    def frac(self) -> "QuadIrr":
-        """Fractional part: self - floor(self), in [0, 1)."""
-        return self - math.floor(self)
+        return _floor(self.p, self.q, self.D, self.r)
 
     # -- numeric conversion --------------------------------------------------
 
-    def to_mpf(self) -> mpmath.mpf:
-        with mpmath.workdps(35):
-            val = (mpmath.mpf(self.p) + mpmath.mpf(self.q) * mpmath.sqrt(self.D)) / self.r
-            return +val
-
     def __float__(self) -> float:
-        if self.q == 0:
-            return self.p / self.r
-        return float(self.to_mpf())
+        return _to_float(self.p, self.q, self.D, self.r)
 
     # -- io ------------------------------------------------------------------
 
@@ -329,6 +308,44 @@ class QuadIrr:
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuadIrr":
         return cls(int(d["p"]), int(d["q"]), int(d["r"]), int(d["D"]))
+
+
+def _floor_scaled(p: int, q: int, D: int, s: int) -> int:
+    """floor((p + q*sqrt(D)) * 2^s) for q != 0 and squarefree D > 1.
+
+    q^2 * D * 4^s is then never a square, so its isqrt t satisfies
+    t < |q|*sqrt(D)*2^s < t + 1 strictly.
+    """
+    t = isqrt(q * q * D << 2 * s)
+    return (p << s) + (t if q > 0 else -t - 1)
+
+
+def _floor(p: int, q: int, D: int, r: int) -> int:
+    """floor((p + q*sqrt(D))/r) for r > 0: floor(x/r) = floor(floor(x)/r)."""
+    return (p if q == 0 else _floor_scaled(p, q, D, 0)) // r
+
+
+def _to_float(p: int, q: int, D: int, r: int) -> float:
+    """The correctly rounded double of (p + q*sqrt(D))/r, r > 0.
+
+    At scale 2^s the value lies strictly between lo/den and (lo+1)/den.  int/int
+    division is correctly rounded and rounding is monotone, so once both ends
+    round to the same double, so does the value.  An irrational value is never a
+    rounding boundary, so doubling s ends the loop.  A value beyond the double
+    range rounds to an infinity of its sign.
+    """
+    if q == 0:
+        return p / r
+    s = 64
+    while True:
+        lo, den = _floor_scaled(p, q, D, s), r << s
+        try:
+            x, y = lo / den, (lo + 1) / den
+        except OverflowError:
+            return math.inf if lo > 0 else -math.inf
+        if x == y:
+            return x
+        s *= 2
 
 
 def _sign_sum(p: int, q: int, D: int) -> int:
@@ -658,7 +675,10 @@ def unit_phase(t: QuadIrr, k: int = 1) -> complex:
     """e(k*t) = exp(2*pi*i*k*t), evaluated after exact reduction of k*t mod 1.
 
     The reduction keeps the argument in [0, 1) no matter how large k*t is, so
-    the phase is accurate to rounding even for huge exact numerators.
+    the phase is accurate to rounding even for huge exact numerators.  It runs
+    on the integers of k*t = (k*p + k*q*sqrt(D))/r alone: one floor, then the
+    correctly rounded double of the fractional part.
     """
-    frac = (t * k).frac()
-    return cmath.exp(2j * math.pi * float(frac))
+    p, q = t.p * k, t.q * k
+    frac = _to_float(p - _floor(p, q, t.D, t.r) * t.r, q, t.D, t.r)
+    return cmath.exp(2j * math.pi * frac)

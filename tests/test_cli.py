@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rmtorus import cli, coord_ring, heis_module
+from rmtorus.qfield import QuadIrr
 from rmtorus.torus_alg import TorusElement
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
 
@@ -245,15 +246,35 @@ def test_algebra_passes(capsys):
 
 
 def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
-    # the array kernel against the per-term loop: same stdout byte for byte
-    from test_torus_alg import _reference_mul
+    # the array code against the dict-of-terms reference of every
+    # TorusElement operation, the pair-loop product included: same stdout
+    # byte for byte
+    from test_torus_alg import _REFERENCE
 
-    argv = ["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"]
-    code, out, _ = _run(capsys, *argv)
-    monkeypatch.setattr(TorusElement, "__mul__", _reference_mul)
-    ref_code, ref_out, _ = _run(capsys, *argv)
-    assert (code, out) == (ref_code, ref_out)
-    assert code == 0
+    argvs = [["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"],
+             ["algebra", "--theta", "(-5+sqrt5)/10", "--count", "3", "--support", "12",
+              "--seed", "8"]]
+    got = [_run(capsys, *argv)[:2] for argv in argvs]
+    for name, ref in _REFERENCE.items():
+        monkeypatch.setattr(TorusElement, name, ref)
+    assert got == [_run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in got] == [0, 0]
+
+
+def test_fix_values_match_mpmath_float():
+    # the "value" fields of fix are float(QuadIrr): over the 159 forms sqrt(D)
+    # and (1+sqrt(D))/2, squarefree D <= 200, and the translates +-theta + k
+    # that the benchmark feeds to fix, the integer bracket gives the double
+    # that sqrt(D) at 35 digits of mpmath gave
+    from test_qfield import _mpmath_float
+    from test_torus_alg import _SQUAREFREE
+
+    forms = [QuadIrr(0, 1, 1, D) for D in _SQUAREFREE]
+    forms += [QuadIrr(1, 1, 2, D) for D in _SQUAREFREE if D % 4 == 1]
+    assert len(forms) == 159
+    for t in forms:
+        for theta in (sign * t + k for sign in (1, -1) for k in range(-5, 6)):
+            assert float(theta) == _mpmath_float(theta)
 
 
 def test_algebra_impossible_tolerance(capsys):

@@ -1,7 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rmtorus.qfield import (
     LatticeElement,
@@ -20,6 +24,7 @@ from rmtorus.qfield import (
     ring_generator,
     unit_phase,
 )
+from test_torus_alg import _SQUAREFREE, quad_irrs
 
 GOLDEN = QuadIrr.parse("(1+sqrt5)/2")
 ROOT2 = QuadIrr.parse("sqrt2")
@@ -66,6 +71,74 @@ def test_comparisons_and_floor():
     assert math.floor(TEST5) == -1
     big = QuadIrr(10 ** 12, 1, 1, 2)
     assert math.floor(big) == 10 ** 12 + 1
+
+
+# (p + q*sqrt(D))/r with p, q up to 2^200 in size, so that q*sqrt(D) carries
+# far more digits than a double
+big_quad_irrs = st.builds(QuadIrr, st.integers(-2**200, 2**200), st.integers(-2**200, 2**200),
+                          st.integers(1, 2**100), st.sampled_from(_SQUAREFREE))
+
+
+# p + q*sqrt2 = (3 + 2*sqrt2)^60, so q*sqrt2 - p = -(3 - 2*sqrt2)^60
+_PELL = (3 + 2 * ROOT2) ** 60
+
+
+def _mpmath_float(t):
+    """float(QuadIrr) before the integer bracket: sqrt(D) at 35 digits of mpmath."""
+    if t.q == 0:
+        return t.p / t.r
+    with mpmath.workdps(35):
+        return float(+((mpmath.mpf(t.p) + mpmath.mpf(t.q) * mpmath.sqrt(t.D)) / t.r))
+
+
+def _mpmath_unit_phase(t, k):
+    """unit_phase before the integer path: exact frac, then _mpmath_float."""
+    x = t * k
+    return cmath.exp(2j * math.pi * _mpmath_float(x - math.floor(x)))
+
+
+@given(big_quad_irrs)
+@example(QuadIrr(10 ** 12, 1, 1, 2))
+@example(QuadIrr(-(10 ** 30), 10 ** 15, 7, 2))
+def test_floor_is_exact(t):
+    n = math.floor(t)
+    assert (t - n).sign() >= 0 and (t - (n + 1)).sign() < 0
+
+
+@given(big_quad_irrs)
+@example(QuadIrr(1, 1, 2, 5))
+@example(QuadIrr(-141421356237, 10 ** 11, 1, 2))
+@example(QuadIrr(-math.isqrt(2 * 10 ** 80), 10 ** 40, 1, 2))  # 40 digits cancel
+@example(QuadIrr(-_PELL.p, _PELL.q, 1, 2))  # -(3 - 2*sqrt2)^60, about -1e-46
+def test_float_is_correctly_rounded(t):
+    # the value lies strictly inside (lo, lo+1) / (r * 2^s), a bracket 200 bits
+    # below the value, which must lie between the midpoints to the
+    # neighbouring doubles of float(t)
+    x = float(t)
+    s = 200 + max(0, -math.frexp(x)[1])
+    root = math.isqrt(t.q * t.q * t.D << 2 * s)
+    lo = (t.p << s) + (root if t.q > 0 else -root - 1)
+    den = t.r << s
+    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    if t.q == 0:
+        assert below <= Fraction(t.p, t.r) <= above
+    else:
+        assert below <= Fraction(lo, den) and Fraction(lo + 1, den) <= above
+
+
+def test_float_beyond_double_range_is_infinite():
+    # as sqrt(D) at 35 digits of mpmath gave; fix reports it as the theta value
+    for t in (QuadIrr(10 ** 400, 1, 1, 2), QuadIrr(-(10 ** 400), 3, 7, 5)):
+        assert float(t) == _mpmath_float(t) == (math.inf if t.p > 0 else -math.inf)
+
+
+@given(quad_irrs, st.integers(-10 ** 6, 10 ** 6))
+@example(GOLDEN, 0)
+@example(TEST5, -(10 ** 6))
+def test_integer_path_matches_mpmath(t, k):
+    assert float(t) == _mpmath_float(t)
+    assert unit_phase(t, k) == _mpmath_unit_phase(t, k)
 
 
 def test_conjugate_norm_trace():

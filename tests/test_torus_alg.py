@@ -37,6 +37,41 @@ def _reference_mul(x, y):
     return TorusElement(x.theta, out)
 
 
+def _reference_combine(x, y, op):
+    out = dict(x.coeffs)
+    for k, b in y.coeffs.items():
+        out[k] = op(out.get(k, 0.0), b)
+    return TorusElement(x.theta, out)
+
+
+def _reference_derive(x, which, tau=None):
+    if which == "d1":
+        f = lambda n, m: 2j * math.pi * n
+    elif which == "d2":
+        f = lambda n, m: 2j * math.pi * m
+    else:
+        tau = complex(tau)
+        f = lambda n, m: 2j * math.pi * (tau * n + m)
+    return TorusElement(x.theta, {(n, m): f(n, m) * a for (n, m), a in x.coeffs.items()})
+
+
+# The dict-of-terms operations the arrays replaced, one per TorusElement
+# method: the arrays must give the same terms, in the same order, bit for bit
+_REFERENCE = {
+    "__mul__": _reference_mul,
+    "__add__": lambda x, y: _reference_combine(x, y, operator.add),
+    "__sub__": lambda x, y: _reference_combine(x, y, operator.sub),
+    "__neg__": lambda x: TorusElement(x.theta, {k: -a for k, a in x.coeffs.items()}),
+    "scaled": lambda x, z: TorusElement(x.theta, {k: complex(z) * a for k, a in x.coeffs.items()}),
+    "star": lambda x: TorusElement(x.theta, {
+        (-n, -m): a.conjugate() * phase(x.theta, n * m).conjugate()
+        for (n, m), a in x.coeffs.items()}),
+    "trace": lambda x: x.coeffs.get((0, 0), 0.0 + 0.0j),
+    "derive": _reference_derive,
+    "norm1": lambda x: sum(abs(a) for a in x.coeffs.values()),
+}
+
+
 def _random_element(rng, theta, support=20):
     coeffs = {}
     for _ in range(support):
@@ -117,12 +152,18 @@ def test_kernel_float_theta_and_empty_operands():
         assert got.coeffs == {}
 
 
+def _sparse_coeffs(rng, count=9):
+    # exponents up to +-2^62: n*m overflows int64, and the keys span a box far
+    # larger than their number
+    return {(int(n), int(m)): complex(*rng.standard_normal(2))
+            for n, m in rng.integers(-2**62, 2**62, size=(count, 2))}
+
+
 def test_kernel_on_sparse_exponents():
     # keys far apart, up to the int64 edge: the kernel numbers the keys that
     # occur instead of every cell of their bounding box
     rng = np.random.default_rng(14)
-    coeffs = [{(int(n), int(m)): complex(*rng.standard_normal(2))
-               for n, m in rng.integers(-2**62, 2**62, size=(9, 2))} for _ in range(2)]
+    coeffs = [_sparse_coeffs(rng) for _ in range(2)]
     coeffs[0][(0, 0)] = 1.5 - 2j
     coeffs[1][(1, -1)] = -0.5j
     x, y = TorusElement(GOLDEN, coeffs[0]), TorusElement(GOLDEN, coeffs[1])
@@ -130,39 +171,61 @@ def test_kernel_on_sparse_exponents():
     _same_items(x * x.star(), _reference_mul(x, x.star()))
 
 
-def test_linear_operations_match_validating_constructor():
+def _operand_pairs():
     rng = np.random.default_rng(15)
-    x, y = _random_element(rng, GOLDEN, 30), _random_element(rng, GOLDEN, 30)
-    y.coeffs[next(iter(x.coeffs))] = -x.coeffs[next(iter(x.coeffs))]  # a sum that cancels
+    x = _random_element(rng, GOLDEN, 30)
+    ys = _random_element(rng, GOLDEN, 30).coeffs
+    first = next(iter(x.coeffs.items()))
+    y = TorusElement(GOLDEN, {**ys, first[0]: -first[1]})  # a sum that cancels
+    fx = _random_element(rng, 0.3178, 20)
+    sx, sy = _sparse_coeffs(rng), _sparse_coeffs(rng)
+    sy[next(iter(sx))] = 2.5 - 1j
+    sx[(0, 0)] = 0.25 + 3j
+    return {
+        "golden": (x, y),
+        "float_theta": (fx, _random_element(rng, 0.3178, 20)),
+        "empty_left": (TorusElement(GOLDEN), x),
+        "empty_right": (fx, TorusElement(0.3178)),
+        "empty_both": (TorusElement(GOLDEN), TorusElement(GOLDEN)),
+        "sparse": (TorusElement(GOLDEN, sx), TorusElement(GOLDEN, sy)),
+    }
+
+
+def test_linear_operations_match_validating_constructor():
     tau = 0.3 + 1.1j
+    for x, y in _operand_pairs().values():
+        cases = [
+            (x + y, _REFERENCE["__add__"](x, y)),
+            (x - y, _REFERENCE["__sub__"](x, y)),
+            (y - x, _REFERENCE["__sub__"](y, x)),
+            (-x, _REFERENCE["__neg__"](x)),
+            # not 0.5 - 2j: its products are exact, and numpy's complex
+            # multiply then agrees with CPython's
+            (x.scaled(0.3 - 1.7j), _REFERENCE["scaled"](x, 0.3 - 1.7j)),
+            (x.scaled(0), TorusElement(x.theta)),
+            (x.star(), _REFERENCE["star"](x)),
+            (x.derive("d1"), _REFERENCE["derive"](x, "d1")),
+            (x.derive("d2"), _REFERENCE["derive"](x, "d2")),
+            (x.derive("dtau", tau), _REFERENCE["derive"](x, "dtau", tau)),
+        ]
+        for got, want in cases:
+            _same_items(got, want)
+            assert all(type(a) is complex for a in got.coeffs.values())
+        for el in (x, y, x - y, x.star()):
+            assert el.trace() == _REFERENCE["trace"](el) and type(el.trace()) is complex
+            assert el.norm1() == _REFERENCE["norm1"](el)
+        assert x.scaled(np.float64(2.0)).coeffs == x.scaled(2.0).coeffs
+        assert all(type(a) is complex for a in x.scaled(np.float64(2.0)).coeffs.values())
 
-    def built(coeffs):
-        return TorusElement(GOLDEN, coeffs)
 
-    def merged(op):
-        out = dict(x.coeffs)
-        for k, b in y.coeffs.items():
-            out[k] = op(out.get(k, 0.0), b)
-        return built(out)
-
-    cases = [
-        (x + y, merged(operator.add)),
-        (x - y, merged(operator.sub)),
-        (-x, built({k: -a for k, a in x.coeffs.items()})),
-        (x.scaled(0.5 - 2j), built({k: (0.5 - 2j) * a for k, a in x.coeffs.items()})),
-        (x.scaled(0), TorusElement(GOLDEN)),
-        (x.star(), built({(-n, -m): a.conjugate() * phase(GOLDEN, n * m).conjugate()
-                          for (n, m), a in x.coeffs.items()})),
-        (x.derive("d1"), built({(n, m): 2j * math.pi * n * a for (n, m), a in x.coeffs.items()})),
-        (x.derive("d2"), built({(n, m): 2j * math.pi * m * a for (n, m), a in x.coeffs.items()})),
-        (x.derive("dtau", tau), built({(n, m): 2j * math.pi * (tau * n + m) * a
-                                       for (n, m), a in x.coeffs.items()})),
-    ]
-    for got, want in cases:
-        _same_items(got, want)
-        assert all(type(a) is complex for a in got.coeffs.values())
-    assert x.scaled(np.float64(2.0)).coeffs == x.scaled(2.0).coeffs
-    assert all(type(a) is complex for a in x.scaled(np.float64(2.0)).coeffs.values())
+def test_coeffs_is_a_read_only_view_in_key_order():
+    coeffs = {(3, -1): 1j, (0, 0): 0.0, (-2, 5): 2.0, (1, 1): -1 + 0.5j}
+    x = TorusElement(GOLDEN, coeffs)
+    assert list(x.coeffs.items()) == [(k, complex(a)) for k, a in coeffs.items() if a != 0]
+    with pytest.raises(TypeError):
+        x.coeffs[(0, 0)] = 1.0
+    assert x.keys.dtype == np.int64 and x.keys.shape == (3, 2)
+    assert x.vals.dtype == complex and x.vals.shape == (3,)
 
 
 @given(quad_irrs)
