@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import inspect
 import json
 import math
 import re
@@ -90,9 +91,9 @@ _MAX_PROBE_MODULUS = 10 ** 5
 
 # The keys a --config file may set: these and the subcommand's own flags.
 # max_trace is config-only for module-check and ring; a None default is left
-# out of the echoed config.
+# out of the echoed config, and fix echoes fixing_matrix's own default.
 _DEFAULTS = {
-    "fix": {"max_trace": 10 ** 7},
+    "fix": {"max_trace": inspect.signature(fixing_matrix).parameters["max_trace"].default},
     "algebra": {"count": 100, "support": 20, "seed": 0, "tol": 1e-12},
     "module-check": {"tau": "0.3+1.1i", "degrees": "1,2", "tol": 1e-12, "max_trace": None},
     "theta": {"tol": 1e-14},
@@ -162,18 +163,17 @@ def _data_of(opts: dict, sub: str) -> RMData:
     theta = parse_theta(str(_require(opts, "theta", sub)))
     if theta.is_rational:
         raise InputError("theta must be a quadratic irrationality, not rational")
-    gspec = opts.get("g")
+    gspec, max_trace = opts.get("g"), opts.get("max_trace")
     try:
-        if gspec is None:
-            max_trace = opts.get("max_trace")
-            max_trace = 10 ** 7 if max_trace is None else _int_of(max_trace, "max_trace", 1)
-            g = fixing_matrix(theta, max_trace=max_trace)
-        else:
+        if gspec is not None:
             g = parse_matrix(gspec if isinstance(gspec, str) else json.dumps(gspec))
-            return RMData(theta, g)
+        elif max_trace is None:
+            g = fixing_matrix(theta)
+        else:
+            g = fixing_matrix(theta, max_trace=_int_of(max_trace, "max_trace", 1))
+        return RMData(theta, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return RMData(theta, g)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -345,16 +345,13 @@ def _cmd_ring(opts: dict) -> dict:
     data = _data_of(opts, "ring")
     tau = _tau_of(opts, "ring")
     max_degree = _int_of(opts["max_degree"], "max_degree", 1)
-    memo: dict = {}
     try:
         report = coord_ring.ring_report(
             data, tau, max_degree=max_degree,
             assoc_triples=_int_of(opts["assoc_triples"], "assoc_triples", 0),
-            seed=_int_of(opts["seed"], "seed", 0), tensors=memo,
+            seed=_int_of(opts["seed"], "seed", 0),
+            theta_diagnostic=bool(opts.get("theta_diagnostic")),
         )
-        if opts.get("theta_diagnostic"):
-            st = coord_ring.cached_tensor(memo, 1, 1, data, tau)
-            report["theta_diagnostic"] = coord_ring.theta_match_report(st, tau)
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None
     except coord_ring.RingRefused as exc:

@@ -22,12 +22,16 @@ theta.theta_partial sums all of them in one batch; the tail at that label plus
 the largest rounding bound of the batch bound every entry.  label_plan finds
 the folded labels and N from integers alone, so a tensor with too many
 entries or label terms is refused (RingRefused) before any array is built.
-One basis pair per tensor is also multiplied by balanced_product and expanded
-on a sampling grid, as an independent witness.  mult contracts the tensors; a
-memo dict keyed by (m, n) lets one report build each tensor once.
+One basis pair per tensor is also multiplied by balanced_product as an
+independent witness: its one output term is f_{tau,N} times the coefficients
+over j, which are compared with T[:, 0, 0].
 
-The degree-0 piece is a formal unit line: the matrix power g^0 has c_0 = 0 and
-no module realizes it, so scalars act by plain rescaling.
+The ring is its tensor map {(m, n): T(m, n)}.  build_tensors passes every
+pair through label_plan before building any, then builds each tensor once;
+ring_report plans, builds, and runs checks that only read the map.  A ring
+element is a {degree: piece} map and mult, the one graded product, contracts
+the tensors.  The degree-0 piece is a formal unit line: the matrix power g^0
+has c_0 = 0 and no module realizes it, so scalars act by plain rescaling.
 
 check_generation and check_quadratic implement the two desk-checkable ring
 conditions: surjectivity of R_1 (x) R_n -> R_{n+1} by numerical rank, and the
@@ -44,14 +48,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heis_module import ModuleElement, balanced_product, holomorphic_element
+from .heis_module import balanced_product, holomorphic_element
 from .qfield import RMData
 from .theta import certified_terms, rounding_bound, tail_bound, theta_const, theta_partial
 
-_TWO_PI_I = 2j * math.pi
-
 # truncation tolerance of each label's theta constant, below its rounding error
 _THETA_TOL = 1e-16
+
+# truncation tolerance of the witness's averaging series, and the relative
+# singular-value cutoffs of the generation and degree-3 quadraticity ranks
+_WITNESS_TOL = 1e-9
+_GENERATION_RANK_TOL = 1e-8
+_QUADRATIC_RANK_TOL = 1e-7
 
 # work budget of one structure tensor: c_{m+n}*c_m*c_n entries (T(1, 5) of
 # the README data holds 990,000), and folded labels times 2N+1 theta terms.
@@ -75,136 +83,24 @@ def piece_dim(n: int, data: RMData) -> int:
     return data.power(n).c
 
 
-class RingElement:
-    """Finitely supported map degree -> coefficient vector of length dim R_n."""
+def mult(u: dict, v: dict, tensors: dict) -> dict:
+    """Graded product of {degree: piece} maps.
 
-    __slots__ = ("data", "tau", "coeffs")
-
-    def __init__(self, data: RMData, tau: complex, coeffs: dict | None = None):
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        clean: dict[int, np.ndarray] = {}
-        for n, vec in (coeffs or {}).items():
-            vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (piece_dim(n, data),):
-                raise ValueError(f"degree {n} expects length {piece_dim(n, data)}")
-            if np.any(vec != 0):
-                clean[int(n)] = vec
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RingElement is immutable")
-
-    @classmethod
-    def unit(cls, data: RMData, tau: complex, z: complex = 1.0) -> "RingElement":
-        return cls(data, tau, {0: np.array([z], dtype=complex)})
-
-    @classmethod
-    def basis(cls, data: RMData, tau: complex, n: int, j: int) -> "RingElement":
-        vec = np.zeros(piece_dim(n, data), dtype=complex)
-        vec[j % len(vec)] = 1.0
-        return cls(data, tau, {n: vec})
-
-    @classmethod
-    def from_piece(cls, data: RMData, tau: complex, n: int, vec) -> "RingElement":
-        return cls(data, tau, {n: np.asarray(vec, dtype=complex)})
-
-    def degrees(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def piece(self, n: int) -> np.ndarray:
-        return self.coeffs.get(n, np.zeros(piece_dim(n, self.data), dtype=complex))
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        out = {n: v.copy() for n, v in self.coeffs.items()}
-        for n, v in other.coeffs.items():
-            out[n] = out.get(n, 0) + v
-        return RingElement(self.data, self.tau, out)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, z) -> "RingElement":
-        return RingElement(self.data, self.tau, {n: z * v for n, v in self.coeffs.items()})
-
-    def distance(self, other: "RingElement") -> float:
-        ns = set(self.coeffs) | set(other.coeffs)
-        if not ns:
-            return 0.0
-        return max(float(np.max(np.abs(self.piece(n) - other.piece(n)))) for n in ns)
-
-    def norm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(v))) for v in self.coeffs.values())
-
-    def __repr__(self):
-        return f"RingElement(degrees={self.degrees()})"
-
-    def to_json_dict(self) -> dict:
-        return {str(n): [[z.real, z.imag] for z in v] for n, v in self.coeffs.items()}
-
-
-# -- expansion of products back into the holomorphic basis ---------------------
-
-
-def _holomorphic_grid(data: RMData, tau: complex, N: int):
-    eps = data.power(N).eps
-    alpha = tau / (2.0 * eps)
-    sigma = 1.0 / (2.0 * math.sqrt(math.pi * alpha.imag))
-    points = max(4 * data.power(N).c, 48)
-    us = np.linspace(-4.0 * sigma, 4.0 * sigma, points)
-    fvals = np.exp(_TWO_PI_I * alpha * us ** 2)
-    return us, fvals, float(np.vdot(fvals, fvals).real)
-
-
-def _expand(prod: ModuleElement, grid):
-    """Project every delta component of ``prod`` on f_{tau,N}, sampled on
-    ``grid`` from _holomorphic_grid; vector + worst relative residual."""
-    us, fvals, denom = grid
-    samples = prod.sample(us)
-    vec = samples @ fvals.conj() / denom
-    hn = np.linalg.norm(samples, axis=1)
-    rn = np.linalg.norm(samples - np.outer(vec, fvals), axis=1)
-    return vec, float(np.max(rn[hn > 0] / hn[hn > 0], initial=0.0))
-
-
-def mult(u: RingElement, v: RingElement, tensors: dict | None = None):
-    """Graded product; returns (RingElement, report with residuals).
-
-    Each pair of positive degrees (p, q) contracts the structure tensor
-    T(p, q), taken from ``tensors`` when given (and stored there when built).
-    The per-pair residual and condition are the tensor's worst basis-product
-    values.
+    A piece of degree n > 0 has last axis c_n, degree 0 is the unit line
+    (last axis 1, plain rescaling), and u and v may carry the same leading
+    batch axes.  Each pair of positive degrees (p, q) contracts tensors[(p, q)].
     """
-    if u.data != v.data or u.tau != v.tau:
-        raise ValueError("operands must share RMData and tau")
-    data, tau = u.data, u.tau
     out: dict[int, np.ndarray] = {}
-
-    def acc(n, vec):
-        out[n] = out.get(n, np.zeros(piece_dim(n, data), dtype=complex)) + vec
-
-    report = {"max_residual": 0.0, "max_cond": 1.0, "pairs": []}
-    for p in u.degrees():
-        for q in v.degrees():
-            up, vq = u.piece(p), v.piece(q)
+    for p, x in u.items():
+        for q, y in v.items():
             if p == 0:
-                acc(q, up[0] * vq)
-                continue
-            if q == 0:
-                acc(p, vq[0] * up)
-                continue
-            st = cached_tensor(tensors, p, q, data, tau)
-            acc(p + q, st.contract(up, vq))
-            res = st.max_residual
-            report["pairs"].append({"degrees": [p, q], "residual": res, "cond": st.max_cond})
-            report["max_residual"] = max(report["max_residual"], res)
-            report["max_cond"] = max(report["max_cond"], st.max_cond)
-    return RingElement(data, tau, out), report
+                z = x[..., :1] * y
+            elif q == 0:
+                z = y[..., :1] * x
+            else:
+                z = tensors[(p, q)].contract(x, y)
+            out[p + q] = out[p + q] + z if p + q in out else z
+    return out
 
 
 # -- structure tensors ---------------------------------------------------------
@@ -274,14 +170,15 @@ def label_plan(m: int, n: int, data: RMData, tau: complex) -> tuple[int, int, in
     return step, den, level, N
 
 
-def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e-9) -> StructureTensor:
+def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
     """T(m, n) gathered from one batch of certified theta constants, one per folded label.
 
     The witness is the basis pair (0, 0), multiplied by balanced_product at
-    ``tol`` and expanded over the R_{m+n} basis.  max_residual is the largest
-    of the entry bound and the witness's gap to T[:, 0, 0], both relative to
-    max|T|, and the witness's own relative residual.  A non-finite entry bound
-    raises RingRefused before the witness is built.
+    _WITNESS_TOL: for holomorphic factors its one output term is f_{tau,m+n}
+    times the coefficients over j, which are read as T[:, 0, 0].  max_residual
+    is the largest of the entry bound and the witness's gap to T[:, 0, 0],
+    both relative to max|T|, and the witness's own relative residual.  A
+    non-finite entry bound raises RingRefused before the witness is built.
     """
     step, den, level, N = label_plan(m, n, data, tau)
     mt = level * complex(tau)
@@ -296,21 +193,12 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex, tol: float = 1e
     k = labels // step                  # -1 where T is 0, which picks the appended 0
     T = np.append(values, 0.0)[np.minimum(k, den // step - k)]
     prod, prep = balanced_product(holomorphic_element(data, m, tau),
-                                  holomorphic_element(data, n, tau), tol=tol)
-    vec, res = _expand(prod, _holomorphic_grid(data, tau, m + n))
+                                  holomorphic_element(data, n, tau), tol=_WITNESS_TOL)
+    ((_, witness),) = prod.terms
     scale = float(np.max(np.abs(T)))
-    gap = float(np.max(np.abs(vec - T[:, 0, 0])))
-    worst = max(bound / scale, gap / scale, res, prep["max_residual"])
+    gap = float(np.max(np.abs(np.array(witness.entries) - T[:, 0, 0])))
+    worst = max(bound / scale, gap / scale, prep["max_residual"])
     return StructureTensor((m, n), T, labels, den, level, worst, bound, prep["max_cond"])
-
-
-def cached_tensor(tensors: dict | None, m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
-    """T(m, n) from the memo ``tensors`` (keyed by (m, n)), built and stored on a miss."""
-    if tensors is None:
-        return structure_tensor(m, n, data, tau)
-    if (m, n) not in tensors:
-        tensors[(m, n)] = structure_tensor(m, n, data, tau)
-    return tensors[(m, n)]
 
 
 def cyclic_shifts(m: int, n: int, data: RMData) -> tuple[int, int, int]:
@@ -358,23 +246,19 @@ def _numerical_rank(M: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def check_generation(data: RMData, tau: complex, N: int, rank_tol: float = 1e-8,
-                     tensors: dict | None = None) -> dict:
-    """Surjectivity of R_1 (x) R_n -> R_{n+1} for n < N, by numerical rank."""
-    out = {"max_degree": N, "per_degree": [], "generated": True}
-    used = {}
-    for n in range(1, N):
-        st = used[(1, n)] = cached_tensor(tensors, 1, n, data, tau)
-        cN = piece_dim(n + 1, data)
-        M = st.tensor.reshape(cN, -1)
-        rank = _numerical_rank(M, rank_tol)
+def check_generation(tensors: dict, max_degree: int) -> dict:
+    """Surjectivity of R_1 (x) R_n -> R_{n+1} for n < max_degree, by numerical rank."""
+    out = {"max_degree": max_degree, "per_degree": [], "generated": True}
+    for n in range(1, max_degree):
+        st = tensors[(1, n)]
+        cN = st.tensor.shape[0]
+        rank = _numerical_rank(st.tensor.reshape(cN, -1), _GENERATION_RANK_TOL)
         ok = rank == cN
         out["per_degree"].append({
             "source": [1, n], "target_dim": cN, "rank": rank,
             "surjective": ok, "residual": st.max_residual,
         })
         out["generated"] = out["generated"] and ok
-    out["tensors"] = used
     return out
 
 
@@ -399,24 +283,20 @@ def _relation_span(K: np.ndarray, c1: int) -> np.ndarray:
     return S.reshape(c1 ** 3, 2 * c1 * dim_K)
 
 
-def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
-                    tensors: dict | None = None) -> dict:
+def check_quadratic(tensors: dict) -> dict:
     """Degree-3 quadraticity: span(K(x)R_1 + R_1(x)K) = ker(mu_3), K = ker(mu_2)."""
-    c1 = piece_dim(1, data)
-    c2 = piece_dim(2, data)
-    c3 = piece_dim(3, data)
-    t11 = cached_tensor(tensors, 1, 1, data, tau)
-    t21 = cached_tensor(tensors, 2, 1, data, tau)
+    t11, t21 = tensors[(1, 1)], tensors[(2, 1)]
+    c3, c2, c1 = t21.tensor.shape
     M2 = t11.tensor.reshape(c2, c1 * c1)
-    K = _null_space(M2, rank_tol)
+    K = _null_space(M2, _QUADRATIC_RANK_TOL)
     dim_K = K.shape[1]
 
     # mu_3 = mu_2 o (mu_2 (x) id): index (j; p,q,r)
     M3 = np.einsum("jtr,tpq->jpqr", t21.tensor, t11.tensor).reshape(c3, c1 ** 3)
-    ker3 = c1 ** 3 - _numerical_rank(M3, rank_tol)
+    ker3 = c1 ** 3 - _numerical_rank(M3, _QUADRATIC_RANK_TOL)
 
     S = _relation_span(K, c1)
-    span_S = _numerical_rank(S, rank_tol)
+    span_S = _numerical_rank(S, _QUADRATIC_RANK_TOL)
 
     # S must sit inside ker(mu_3) by associativity; record the violation level
     inclusion = 0.0
@@ -436,25 +316,21 @@ def check_quadratic(data: RMData, tau: complex, rank_tol: float = 1e-7,
     return report
 
 
-def associativity_residual(data: RMData, tau: complex, triples: int = 20, seed: int = 0,
-                           tensors: dict | None = None) -> float:
+def associativity_residual(tensors: dict, triples: int = 20, seed: int = 0) -> float:
     """Worst relative defect of (uv)w vs u(vw) over random degree-1 triples.
 
-    (uv)w contracts T(2,1) with T(1,1) and u(vw) contracts T(1,2) with T(1,1);
-    T(1,2) and T(2,1) come from separate balanced products.  The triples are
-    drawn in one call, in the order u, v, w (real parts, then imaginary) per
-    triple, and contracted as one batch.
+    Both bracketings go through mult: (uv)w contracts T(2,1) with T(1,1) and
+    u(vw) contracts T(1,2) with T(1,1); T(1,2) and T(2,1) come from separate
+    balanced products.  The triples are drawn in one call, in the order u, v,
+    w (real parts, then imaginary) per triple, and multiplied as one batch.
     """
     if triples == 0:
         return 0.0
-    if tensors is None:
-        tensors = {}
-    c1 = piece_dim(1, data)
+    c1 = tensors[(1, 1)].tensor.shape[1]
     draws = np.random.default_rng(seed).normal(size=(triples, 3, 2, c1))
-    u, v, w = (draws[:, i, 0] + 1j * draws[:, i, 1] for i in range(3))
-    t11, t21, t12 = (cached_tensor(tensors, p, q, data, tau) for p, q in ((1, 1), (2, 1), (1, 2)))
-    lhs = t21.contract(t11.contract(u, v), w)
-    rhs = t12.contract(u, t11.contract(v, w))
+    u, v, w = ({1: draws[:, i, 0] + 1j * draws[:, i, 1]} for i in range(3))
+    lhs = mult(mult(u, v, tensors), w, tensors)[3]
+    rhs = mult(u, mult(v, w, tensors), tensors)[3]
     defect = np.max(np.abs(lhs - rhs), axis=1) / np.maximum(np.max(np.abs(rhs), axis=1), 1e-300)
     return float(np.max(defect))
 
@@ -479,41 +355,60 @@ def theta_match_report(st: StructureTensor, tau: complex, entries: int = 8) -> l
     return out
 
 
-def ring_report(data: RMData, tau: complex, max_degree: int = 3,
-                assoc_triples: int = 20, seed: int = 0, tensors: dict | None = None) -> dict:
+def _report_pairs(max_degree: int, assoc_triples: int, theta_diagnostic: bool):
+    """The (m, n) of every tensor a report reads, lazily and possibly repeated:
+    generation reads T(1, n) for n < max_degree, associativity T(1, 1),
+    T(2, 1) and T(1, 2), quadraticity (degree >= 3) T(1, 1) and T(2, 1), and
+    the theta diagnostic T(1, 1)."""
+    yield from ((1, n) for n in range(1, max_degree))
+    if assoc_triples or max_degree >= 3:
+        yield from ((1, 1), (2, 1), (1, 2))
+    if theta_diagnostic:
+        yield (1, 1)
+
+
+def build_tensors(data: RMData, tau: complex, pairs) -> dict:
+    """{(m, n): T(m, n)} over ``pairs``, each tensor built once.
+
+    Every pair passes label_plan before the first tensor is built.  ``pairs``
+    is consumed lazily, so an endless one is refused (RingRefused) at the
+    first pair over the budget; c_n grows with n, so that comes after a few
+    degrees.
+    """
+    plans = {pair: label_plan(*pair, data, tau) for pair in pairs}
+    return {pair: structure_tensor(*pair, data, tau) for pair in plans}
+
+
+def ring_report(data: RMData, tau: complex, max_degree: int = 3, assoc_triples: int = 20,
+                seed: int = 0, theta_diagnostic: bool = False) -> dict:
     """Full JSON-ready summary used by the command line runner.
 
-    Each structure tensor is built once per call, in the memo ``tensors``
-    (keyed by (m, n)) that the checks share; without one, a memo is made and
-    dropped on return.
+    The tensors are planned and built once by build_tensors; the checks only
+    read them.  With ``theta_diagnostic`` the report also lists the theta
+    labels of the largest entries of T(1, 1) (theta_match_report).
     """
-    # every tensor the report may build passes label_plan before any is built;
-    # c_n grows with n, so a huge max_degree is refused after a few degrees
-    for n in range(1, max_degree):
-        label_plan(1, n, data, tau)
-    if assoc_triples or max_degree >= 3:
-        label_plan(2, 1, data, tau)
-        label_plan(1, 2, data, tau)
-    memo = {} if tensors is None else tensors
+    tensors = build_tensors(data, tau, _report_pairs(max_degree, assoc_triples, theta_diagnostic))
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
-    gen = check_generation(data, tau, max_degree, tensors=memo)
+    gen = check_generation(tensors, max_degree)
     summaries = [{
-        "degrees": [m, n],
+        "degrees": list(st.degrees),
         "shape": list(st.tensor.shape),
         "max_residual": st.max_residual,
         "cyclic_symmetry_residual": cyclic_symmetry_residual(st, data),
-    } for (m, n), st in gen["tensors"].items()]
+    } for st in (tensors[(1, n)] for n in range(1, max_degree))]
     report = {
         "dims": dims,
         "generation": [d["surjective"] for d in gen["per_degree"]],
         "generation_detail": gen["per_degree"],
-        "assoc_residual": associativity_residual(data, tau, assoc_triples, seed, memo),
+        "assoc_residual": associativity_residual(tensors, assoc_triples, seed),
         "tensors": summaries,
     }
     if gen["generated"] and max_degree >= 3:
-        quad = check_quadratic(data, tau, tensors=memo)
+        quad = check_quadratic(tensors)
         report["quadratic"] = quad["quadratic"]
         report["quadratic_detail"] = {k: v for k, v in quad.items() if k != "quadratic"}
     else:
         report["quadratic"] = None
+    if theta_diagnostic:
+        report["theta_diagnostic"] = theta_match_report(tensors[(1, 1)], tau)
     return report

@@ -166,26 +166,24 @@ def rounding_bound(nums, den: int, m: complex, N: int) -> np.ndarray:
     return 1.001 * (local + math.sqrt(2.0) * k / (1.0 - k) * total) + 1e-300
 
 
-def _certify_terms(bound_at, tol: float) -> int:
-    """Smallest N >= 1 with bound_at(N) <= tol; bound_at decreases in N."""
+def certified_terms(r, t: float, tol: float, w: float = 0.0) -> int:
+    """Smallest N >= 1 with tail_bound(N, r, t, w) <= tol; RuntimeError past _MAX_TERMS.
+
+    tail_bound decreases in N: doubling finds an upper end, bisection the least N.
+    """
     hi = 1
-    while bound_at(hi) > tol:
+    while tail_bound(hi, r, t, w) > tol:
         hi *= 2
         if hi > _MAX_TERMS:
             raise RuntimeError("theta series truncation did not certify; Im(m) too small")
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if bound_at(mid) <= tol:
+        if tail_bound(mid, r, t, w) <= tol:
             hi = mid
         else:
             lo = mid + 1
     return hi
-
-
-def certified_terms(r, t: float, tol: float, w: float = 0.0) -> int:
-    """Smallest N >= 1 with tail_bound(N, r, t, w) <= tol; RuntimeError past _MAX_TERMS."""
-    return _certify_terms(lambda n: tail_bound(n, r, t, w), tol)
 
 
 def _theta(r, m: complex, z: complex | None, tol: float) -> ThetaResult:

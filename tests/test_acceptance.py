@@ -14,6 +14,7 @@ import numpy as np
 from rmtorus import cli
 from rmtorus.coord_ring import (
     associativity_residual,
+    build_tensors,
     check_generation,
     check_quadratic,
     piece_dim,
@@ -191,11 +192,12 @@ def test_criterion_09_ring_desk_scale():
     data = RMData(QuadIrr.parse("(-5+sqrt5)/10"), SL2Matrix.from_list([[-1, -1], [5, 4]]))
     dims = [piece_dim(n, data) for n in range(4)]
     dims_ok = dims == [1, 5, 15, 40]
-    gen = check_generation(data, TAU, 2)
+    tensors = build_tensors(data, TAU, [(1, 1), (2, 1), (1, 2)])
+    gen = check_generation(tensors, 2)
     rank_ok = gen["per_degree"][0]["rank"] == 15
-    quad = check_quadratic(data, TAU)
+    quad = check_quadratic(tensors)
     quad_ok = quad["quadratic"] and quad["dim_K"] == 10
-    assoc = associativity_residual(data, TAU, triples=20, seed=0)
+    assoc = associativity_residual(tensors, triples=20, seed=0)
     assoc_ok = assoc < 1e-8
     elapsed = time.perf_counter() - t0
     ok = dims_ok and rank_ok and quad_ok and assoc_ok and elapsed < 120.0
@@ -205,7 +207,7 @@ def test_criterion_09_ring_desk_scale():
 
 def test_criterion_10_negative_control():
     data = RMData(QuadIrr.parse("(1+sqrt5)/2"), SL2Matrix.from_list([[2, 1], [1, 1]]))
-    gen = check_generation(data, TAU, 2)
+    gen = check_generation(build_tensors(data, TAU, [(1, 1)]), 2)
     d = gen["per_degree"][0]
     ok = d["rank"] == 1 and d["target_dim"] == 3 and not d["surjective"]
     _verdict(10, "golden ratio fails degree-1 generation (rank 1 < dim 3)", ok,

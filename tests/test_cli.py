@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -434,9 +437,9 @@ def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
     built = []
     build = coord_ring.structure_tensor
 
-    def counting(m, n, data, tau, tol=1e-9):
+    def counting(m, n, data, tau):
         built.append((m, n))
-        return build(m, n, data, tau, tol)
+        return build(m, n, data, tau)
 
     monkeypatch.setattr(coord_ring, "structure_tensor", counting)
     code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
@@ -483,3 +486,15 @@ def test_readme_commands_exit_0(capsys):
     for line in lines:
         code, _, err = _run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def test_readme_quick_tour_runs():
+    # the "Library quick tour" block runs as written, warnings as errors
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    (tour,) = re.findall(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", tour], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,12 +11,10 @@ import pytest
 from rmtorus import coord_ring
 from rmtorus.cli import _json_default
 from rmtorus.coord_ring import (
-    _expand,
-    _holomorphic_grid,
     _null_space,
     _relation_span,
-    RingElement,
     associativity_residual,
+    build_tensors,
     check_generation,
     check_quadratic,
     cyclic_shifts,
@@ -52,29 +50,40 @@ def test_piece_dims():
     assert [piece_dim(n, GOLDEN) for n in range(4)] == [1, 1, 3, 8]
 
 
-def test_unit_multiplication_exact():
-    one = RingElement.unit(TEST5, TAU)
-    x = RingElement.basis(TEST5, TAU, 1, 2)
-    prod, report = mult(one, x)
-    assert prod.distance(x) == 0.0
-    assert report["max_residual"] == 0.0
-    prod2, _ = mult(x, one.scaled(2.0))
-    assert prod2.distance(x.scaled(2.0)) == 0.0
+def _basis(j, dim):
+    vec = np.zeros(dim, dtype=complex)
+    vec[j] = 1.0
+    return vec
+
+
+def test_unit_multiplication_exact(t11):
+    one = {0: np.ones(1, dtype=complex)}
+    x = {1: _basis(2, 5)}
+    prod = mult(one, x, {(1, 1): t11})
+    assert prod.keys() == {1} and np.array_equal(prod[1], x[1])
+    prod2 = mult(x, {0: np.full(1, 2.0 + 0j)}, {})
+    assert prod2.keys() == {1} and np.array_equal(prod2[1], 2.0 * x[1])
 
 
 def test_grading(t11):
-    u = RingElement.basis(TEST5, TAU, 1, 0) + RingElement.unit(TEST5, TAU)
-    v = RingElement.basis(TEST5, TAU, 1, 3)
-    prod, _ = mult(u, v)
-    assert sorted(prod.degrees()) == [1, 2]
+    u = {1: _basis(0, 5), 0: np.ones(1, dtype=complex)}
+    v = {1: _basis(3, 5)}
+    prod = mult(u, v, {(1, 1): t11})
+    assert sorted(prod) == [1, 2]
     # degree-2 part matches the structure tensor contraction
-    x = np.zeros(5, dtype=complex)
-    x[0] = 1.0
-    y = np.zeros(5, dtype=complex)
-    y[3] = 1.0
-    want = t11.contract(x, y)
-    got = prod.piece(2)
-    assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+    want = t11.contract(u[1], v[1])
+    assert np.max(np.abs(prod[2] - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+    assert np.array_equal(prod[1], v[1])
+
+
+def _coefficients(prod, tau):
+    """The coefficients over j of a holomorphic balanced product's one term,
+    f_{tau,N} (x) (coefficients), N = prod.degree."""
+    ((atom_sum, row),) = prod.terms
+    (atom,) = atom_sum.atoms
+    assert atom.poly == (1,) and atom.beta == 0
+    assert abs(atom.alpha - tau / (2.0 * prod.consts.eps)) < 1e-14 * abs(atom.alpha)
+    return np.array(row.entries)
 
 
 def test_tensor_contract_matches_mult(t11):
@@ -87,19 +96,36 @@ def test_tensor_contract_matches_mult(t11):
         prod, prep = balanced_product(
             holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(x)),
             holomorphic_element(TEST5, 1, TAU, weights=FiniteVector(y)))
-        got, res = _expand(prod, _holomorphic_grid(TEST5, TAU, 2))
-        want = t11.contract(x, y)
+        got = _coefficients(prod, TAU)
+        want = mult({1: x}, {1: y}, {(1, 1): t11})[2]
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) < 1e-10 * scale
-        assert max(res, prep["max_residual"]) < 1e-8
+        assert prep["max_residual"] < 1e-8
+
+
+def test_mult_is_bilinear_and_batched(t11):
+    # a {degree: piece} map is a ring element; pieces may carry batch axes
+    rng = np.random.default_rng(7)
+    x, y, z = (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)) for _ in range(3))
+    units = rng.normal(size=(3, 1)) + 0j
+    tensors = {(1, 1): t11}
+    got = mult({0: units, 1: x + 2.0 * y}, {1: z}, tensors)
+    want = t11.contract(x, z) + 2.0 * t11.contract(y, z)
+    assert sorted(got) == [1, 2]
+    assert np.allclose(got[2], want, rtol=1e-13, atol=0)
+    assert np.array_equal(got[1], units * z)
+    for b in range(3):
+        one = mult({0: units[b], 1: x[b] + 2.0 * y[b]}, {1: z[b]}, tensors)
+        assert np.allclose(one[2], got[2][b], rtol=1e-14, atol=0)
+        assert np.array_equal(one[1], got[1][b])
 
 
 def test_ring_report_builds_each_tensor_once(monkeypatch):
     built = []
 
-    def counting(m, n, data, tau, tol=1e-9):
+    def counting(m, n, data, tau):
         built.append((m, n))
-        return structure_tensor(m, n, data, tau, tol)
+        return structure_tensor(m, n, data, tau)
 
     monkeypatch.setattr(coord_ring, "structure_tensor", counting)
     ring_report(TEST5, TAU, max_degree=3, assoc_triples=2)
@@ -130,7 +156,7 @@ def test_cyclic_symmetry(t11):
 
 
 def test_generation_ranks():
-    gen = check_generation(TEST5, TAU, 3)
+    gen = check_generation(build_tensors(TEST5, TAU, [(1, 1), (1, 2)]), 3)
     per = {tuple(d["source"]): d for d in gen["per_degree"]}
     assert per[(1, 1)]["rank"] == 15 and per[(1, 1)]["surjective"]
     assert per[(1, 2)]["rank"] == 40 and per[(1, 2)]["surjective"]
@@ -139,7 +165,7 @@ def test_generation_ranks():
 
 def test_golden_ratio_fails_generation():
     # c = 1 = a + d - 1 < a + d: degree-1 products span a single line in R_2
-    gen = check_generation(GOLDEN, TAU, 2)
+    gen = check_generation(build_tensors(GOLDEN, TAU, [(1, 1)]), 2)
     d = gen["per_degree"][0]
     assert d["target_dim"] == 3
     assert d["rank"] == 1
@@ -148,7 +174,7 @@ def test_golden_ratio_fails_generation():
 
 
 def test_quadratic_presentation():
-    quad = check_quadratic(TEST5, TAU)
+    quad = check_quadratic(build_tensors(TEST5, TAU, [(1, 1), (2, 1)]))
     assert quad["dim_K"] == 10
     assert quad["expected_dim_K"] == 10
     assert quad["ker3_dim"] == 85
@@ -158,18 +184,8 @@ def test_quadratic_presentation():
 
 
 def test_associativity():
-    assert associativity_residual(TEST5, TAU, triples=5, seed=3) < 1e-8
-
-
-def test_ring_element_linear_ops():
-    x = RingElement.basis(TEST5, TAU, 1, 0)
-    y = RingElement.basis(TEST5, TAU, 1, 1)
-    z = x.scaled(2.0) + y - x
-    assert z.degrees() == [1]
-    assert np.allclose(z.piece(1), [1, 1, 0, 0, 0])
-    assert z.norm() > 0
-    with pytest.raises(ValueError):
-        mult(x, RingElement.basis(GOLDEN, TAU, 1, 0))
+    tensors = build_tensors(TEST5, TAU, [(1, 1), (2, 1), (1, 2)])
+    assert associativity_residual(tensors, triples=5, seed=3) < 1e-8
 
 
 def test_theta_match_report_shape(t11):
@@ -194,16 +210,15 @@ def test_ring_report_serializable():
 # -- closed-form tensors against the grid/least-squares route ---------------------
 
 def _reference_tensor(m, n, data, tau, pairs=None):
-    """T(m, n) by one balanced_product per basis pair, each projected on the
-    R_{m+n} basis on a sampling grid.  Columns outside ``pairs`` stay NaN."""
+    """T(m, n) by one balanced_product per basis pair, each read off its one
+    f_{tau,m+n} term.  Columns outside ``pairs`` stay NaN."""
     cm, cn, cN = piece_dim(m, data), piece_dim(n, data), piece_dim(m + n, data)
     T = np.full((cN, cm, cn), np.nan, dtype=complex)
-    grid = _holomorphic_grid(data, tau, m + n)
     for k, l in pairs or itertools.product(range(cm), range(cn)):
         prod, prep = balanced_product(holomorphic_element(data, m, tau, k=k),
                                       holomorphic_element(data, n, tau, k=l))
-        T[:, k, l], res = _expand(prod, grid)
-        assert max(res, prep["max_residual"]) < 1e-8
+        T[:, k, l] = _coefficients(prod, tau)
+        assert prep["max_residual"] < 1e-8
     return T
 
 
@@ -339,20 +354,18 @@ def test_relation_span_matches_column_loop():
         assert _relation_span(K[:, :0], c1).shape == (c1 ** 3, 0)
 
 
-def _reference_associativity(data, tau, triples, seed, tensors):
+def _reference_associativity(tensors, triples, seed):
+    """One triple at a time, both bracketings by explicit einsums, without mult."""
+    t11, t21, t12 = (tensors[pq].tensor for pq in ((1, 1), (2, 1), (1, 2)))
     rng = np.random.default_rng(seed)
-    c1 = piece_dim(1, data)
+    c1 = t11.shape[1]
     worst = 0.0
     for _ in range(triples):
-        u, v, w = (
-            RingElement.from_piece(data, tau, 1, rng.normal(size=c1) + 1j * rng.normal(size=c1))
-            for _ in range(3)
-        )
-        uv, _ = mult(u, v, tensors)
-        lhs, _ = mult(uv, w, tensors)
-        vw, _ = mult(v, w, tensors)
-        rhs, _ = mult(u, vw, tensors)
-        worst = max(worst, lhs.distance(rhs) / max(rhs.norm(), 1e-300))
+        u, v, w = (rng.normal(size=c1) + 1j * rng.normal(size=c1) for _ in range(3))
+        lhs = np.einsum("jkl,k,l->j", t21, np.einsum("jkl,k,l->j", t11, u, v), w)
+        rhs = np.einsum("jkl,k,l->j", t12, u, np.einsum("jkl,k,l->j", t11, v, w))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))),
+                                                                   1e-300))
     return worst
 
 
@@ -360,15 +373,43 @@ def _reference_associativity(data, tau, triples, seed, tensors):
                                                (ROOT2, 5, 1)],
                          ids=["readme-20", "readme-7", "test5-1", "sqrt2-5"])
 def test_associativity_matches_mult_loop(data, triples, seed):
-    memo = {}
-    got = associativity_residual(data, TAU, triples, seed, memo)
-    assert got == _reference_associativity(data, TAU, triples, seed, memo)
+    tensors = build_tensors(data, TAU, [(1, 1), (2, 1), (1, 2)])
+    got = associativity_residual(tensors, triples, seed)
+    assert got == _reference_associativity(tensors, triples, seed)
     assert 0.0 < got < 1e-8
 
 
-def test_associativity_without_triples_builds_nothing(monkeypatch):
-    monkeypatch.setattr(coord_ring, "structure_tensor", _fail)
-    assert associativity_residual(README, TAU, triples=0) == 0.0
+def test_associativity_without_triples_builds_nothing():
+    assert associativity_residual({}, triples=0) == 0.0
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("assoc_triples", [0, 2])
+def test_ring_report_plans_every_tensor_before_building(monkeypatch, max_degree, assoc_triples):
+    events = []
+    plan, build = coord_ring.label_plan, coord_ring.structure_tensor
+
+    def planning(m, n, data, tau):
+        events.append(("plan", (m, n)))
+        return plan(m, n, data, tau)
+
+    def building(m, n, data, tau):
+        events.append(("build", (m, n)))
+        return build(m, n, data, tau)
+
+    monkeypatch.setattr(coord_ring, "label_plan", planning)
+    monkeypatch.setattr(coord_ring, "structure_tensor", building)
+    ring_report(README, TAU, max_degree=max_degree, assoc_triples=assoc_triples)
+    built = [pq for kind, pq in events if kind == "build"]
+    first = events.index(("build", built[0])) if built else len(events)
+    planned = {pq for kind, pq in events[:first] if kind == "plan"}
+    assert set(built) <= planned
+    assert len(built) == len(set(built))
+    # the report reads T(1, n), n < max_degree, and the associativity tensors
+    want = {(1, n) for n in range(1, max_degree)}
+    if assoc_triples or max_degree >= 3:
+        want |= {(1, 1), (2, 1), (1, 2)}
+    assert set(built) == want
 
 
 def test_batched_contract_matches_single():

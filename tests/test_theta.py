@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from rmtorus import theta as theta_mod
 from rmtorus.theta import (
     ThetaResult,
-    _certify_terms,
     rounding_bound,
     tail_bound,
     theta_const,
@@ -55,6 +55,11 @@ def _reference_fn_tail_bound(N, r, t, w):
         return math.inf
     lead = math.exp(-math.pi * t * a * a + 2.0 * math.pi * w * (a + 2.0))
     return 2.0 * lead / (1.0 - ratio)
+
+
+def _reference_terms(bound_at, tol):
+    """The least N >= 1 with bound_at(N) <= tol, by a plain scan."""
+    return next(n for n in itertools.count(1) if bound_at(n) <= tol)
 
 
 def _reference_theta_partial(r, m, N):
@@ -172,7 +177,7 @@ def test_const_matches_reference(r, m, tol, K):
     assert _partial(r, m, K) == _reference_theta_partial(r, m, K)
     assert tail_bound(K, r, m.imag) == _reference_tail_bound(K, r, m.imag)
     res = theta_const(r, m, tol=tol)
-    N = _certify_terms(lambda n: _reference_tail_bound(n, r, m.imag), tol)
+    N = _reference_terms(lambda n: _reference_tail_bound(n, r, m.imag), tol)
     assert res.terms == N
     assert res.value == _reference_theta_partial(r, m, N)
     assert res.bound == _reference_tail_bound(N, r, m.imag)
@@ -184,7 +189,7 @@ def test_fn_matches_reference(r, m, tol, K, data):
     t, w = m.imag, abs(z.imag)
     assert _partial(r, m, K, z) == _reference_theta_fn_partial(r, z, m, K)
     res = theta_fn(r, z, m, tol=tol)
-    N = _certify_terms(lambda n: _reference_fn_tail_bound(n, r, t, w), tol)
+    N = _reference_terms(lambda n: _reference_fn_tail_bound(n, r, t, w), tol)
     assert res.terms == N
     assert res.value == _reference_theta_fn_partial(r, z, m, N)
     # the reference rounds the decrement as 2*pi*(t*a - w), tail_bound as
