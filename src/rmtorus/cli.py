@@ -160,17 +160,22 @@ def _tau_of(opts: dict, sub: str) -> complex:
 
 
 def _data_of(opts: dict, sub: str) -> RMData:
+    """theta with --g, or with the minimal-trace g; a search past max_trace exits 3."""
     theta = parse_theta(str(_require(opts, "theta", sub)))
     if theta.is_rational:
         raise InputError("theta must be a quadratic irrationality, not rational")
     gspec, max_trace = opts.get("g"), opts.get("max_trace")
+    if gspec is not None:
+        g = parse_matrix(gspec if isinstance(gspec, str) else json.dumps(gspec))
+    else:
+        try:
+            if max_trace is None:
+                g = fixing_matrix(theta)
+            else:
+                g = fixing_matrix(theta, max_trace=_int_of(max_trace, "max_trace", 1))
+        except ValueError as exc:
+            raise ToleranceError(f"no fixing matrix found: {exc}") from None
     try:
-        if gspec is not None:
-            g = parse_matrix(gspec if isinstance(gspec, str) else json.dumps(gspec))
-        elif max_trace is None:
-            g = fixing_matrix(theta)
-        else:
-            g = fixing_matrix(theta, max_trace=_int_of(max_trace, "max_trace", 1))
         return RMData(theta, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -180,14 +185,8 @@ def _data_of(opts: dict, sub: str) -> RMData:
 
 
 def _cmd_fix(opts: dict) -> dict:
-    theta = parse_theta(str(_require(opts, "theta", "fix")))
-    if theta.is_rational:
-        raise InputError("theta must be a quadratic irrationality, not rational")
-    try:
-        g = fixing_matrix(theta, max_trace=_int_of(opts["max_trace"], "max_trace", 1))
-    except ValueError as exc:
-        raise ToleranceError(f"no fixing matrix found: {exc}") from None
-    data = RMData(theta, g)
+    data = _data_of(opts, "fix")
+    theta, g = data.theta, data.g
     A, B, C = theta.minimal_polynomial()
     quotients, period = cf_expand(theta)
     conductor, _ = multiplier_ring(theta)
@@ -438,26 +437,12 @@ def main(argv=None) -> int:
         return 3
     resolved = {k: v for k, v in opts.items() if v is not None}
     payload = {"command": args.command, "config": resolved, "report": report}
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     return 0
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 if __name__ == "__main__":

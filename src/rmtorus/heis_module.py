@@ -56,8 +56,9 @@ import math
 
 import numpy as np
 
-from .heis_rep import FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector, lie_derivative
-from .qfield import QuadIrr, RMData
+from .heis_rep import (FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector,
+                       holomorphic_vector, lie_derivative)
+from .qfield import RMData
 from .torus_alg import TorusElement
 
 _TWO_PI_I = 2j * math.pi
@@ -151,28 +152,6 @@ class ModuleElement:
     def __repr__(self):
         return f"ModuleElement(degree={self.degree}, c={self.consts.c}, {len(self.terms)} terms)"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.data.theta.to_json_dict(),
-            "g": self.data.g.to_list(),
-            "degree": self.degree,
-            "terms": [
-                {"schwartz": s.to_json_dict(), "finite": f.to_json_dict()}
-                for s, f in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModuleElement":
-        from .qfield import SL2Matrix
-
-        data = RMData(QuadIrr.from_json_dict(d["theta"]), SL2Matrix.from_list(d["g"]))
-        terms = [
-            (SchwartzVector.from_json_dict(t["schwartz"]), FiniteVector.from_json_dict(t["finite"]))
-            for t in d["terms"]
-        ]
-        return cls(data, d["degree"], terms)
-
 
 # -- generator actions --------------------------------------------------------
 
@@ -262,13 +241,10 @@ def curvature_scalar(data: RMData, degree: int) -> complex:
 def holomorphic_element(data: RMData, degree: int, tau: complex, k: int = 0,
                         weights: FiniteVector | None = None) -> ModuleElement:
     """f_{tau,n} (x) phi with phi = delta_k by default."""
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValueError("tau must lie in the upper half-plane")
     consts = data.power(degree)
-    atom = GaussianAtom((1.0,), tau / (2.0 * consts.eps), 0.0)
+    f = holomorphic_vector(tau, consts.eps)
     phi = weights if weights is not None else FiniteVector.delta(consts.c, k)
-    return ModuleElement.single(data, degree, SchwartzVector.of(atom), phi)
+    return ModuleElement.single(data, degree, f, phi)
 
 
 # -- balanced product ----------------------------------------------------------

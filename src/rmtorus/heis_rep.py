@@ -137,21 +137,6 @@ class GaussianAtom:
     def __repr__(self):
         return f"GaussianAtom(poly={self.poly}, alpha={self.alpha}, beta={self.beta})"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "poly": [[c.real, c.imag] for c in self.poly],
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "beta": [self.beta.real, self.beta.imag],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GaussianAtom":
-        return cls(
-            [complex(re, im) for re, im in d["poly"]],
-            complex(*d["alpha"]),
-            complex(*d["beta"]),
-        )
-
 
 class SchwartzVector:
     """Finite sum of Gaussian atoms; the concrete model of a Schwartz vector."""
@@ -235,13 +220,6 @@ class SchwartzVector:
     def __repr__(self):
         return f"SchwartzVector({len(self.atoms)} atoms, degree {self.max_degree})"
 
-    def to_json_dict(self) -> list:
-        return [a.to_json_dict() for a in self.atoms]
-
-    @classmethod
-    def from_json_dict(cls, lst) -> "SchwartzVector":
-        return cls(GaussianAtom.from_json_dict(d) for d in lst)
-
 
 class FiniteVector:
     """Vector in C(Z/cZ)."""
@@ -280,13 +258,6 @@ class FiniteVector:
 
     def __repr__(self):
         return f"FiniteVector({list(self.entries)!r})"
-
-    def to_json_dict(self) -> list:
-        return [[e.real, e.imag] for e in self.entries]
-
-    @classmethod
-    def from_json_dict(cls, lst) -> "FiniteVector":
-        return cls([complex(re, im) for re, im in lst])
 
 
 # -- group elements ----------------------------------------------------------

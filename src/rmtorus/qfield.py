@@ -305,10 +305,6 @@ class QuadIrr:
     def to_json_dict(self) -> dict:
         return {"p": self.p, "q": self.q, "r": self.r, "D": self.D}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuadIrr":
-        return cls(int(d["p"]), int(d["q"]), int(d["r"]), int(d["D"]))
-
 
 def _floor_scaled(p: int, q: int, D: int, s: int) -> int:
     """floor((p + q*sqrt(D)) * 2^s) for q != 0 and squarefree D > 1.
@@ -633,19 +629,11 @@ class RMData:
                 matrix=gn,
                 eps_exact=eps_q,
                 eps=float(eps_q),
-                theta_float=float(self.theta),
             )
         return self._powers[n]
 
     def __repr__(self):
         return f"RMData(theta={self.theta!r}, g={self.g.to_list()})"
-
-    def to_json_dict(self) -> dict:
-        return {"theta": self.theta.to_json_dict(), "g": self.g.to_list()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RMData":
-        return cls(QuadIrr.from_json_dict(d["theta"]), SL2Matrix.from_list(d["g"]))
 
 
 @dataclass(frozen=True)
@@ -655,7 +643,6 @@ class ModuleConstants:
     matrix: SL2Matrix
     eps_exact: QuadIrr
     eps: float
-    theta_float: float
 
     @property
     def c(self) -> int:

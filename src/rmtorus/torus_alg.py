@@ -202,27 +202,6 @@ class TorusElement:
         bits = [f"({a:.4g})U^{n}V^{m}" for (n, m), a in sorted(self.coeffs.items())]
         return "TorusElement(" + " + ".join(bits) + ")"
 
-    # -- io ---------------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        theta = (
-            self.theta.to_json_dict()
-            if isinstance(self.theta, QuadIrr)
-            else float(self.theta)
-        )
-        coeffs = [
-            {"n": n, "m": m, "re": a.real, "im": a.imag}
-            for (n, m), a in sorted(self.coeffs.items())
-        ]
-        return {"theta": theta, "coeffs": coeffs}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TorusElement":
-        theta = d["theta"]
-        theta = QuadIrr.from_json_dict(theta) if isinstance(theta, dict) else float(theta)
-        coeffs = {(int(c["n"]), int(c["m"])): complex(c["re"], c["im"]) for c in d["coeffs"]}
-        return cls(theta, coeffs)
-
 
 def _element(theta, keys: np.ndarray, vals: np.ndarray) -> TorusElement:
     """Wrap key and value arrays as they are, dropping exact zeros."""

@@ -217,11 +217,13 @@ def test_config_takes_every_option_of_the_subcommand(tmp_path, capsys):
     assert code == 0
     assert _report(out)[1]["config"] == {"theta": "sqrt2", "count": 2, "support": 3,
                                          "seed": 4, "tol": 1e-12}
-    # max_trace is a config-only option of module-check and ring
+    # max_trace is a config-only option of module-check and ring; hitting the
+    # cap is a search failure, exit 3 as in fix
     cfg.write_text(json.dumps({"theta": "(-5+sqrt5)/10", "max_trace": 2}))
-    code, _, err = _run(capsys, "module-check", "--config", str(cfg), "--degrees", "1")
-    assert code == 2
-    assert "trace <= 2" in err
+    for argv in (["module-check", "--degrees", "1"], ["ring", "--max-degree", "1"]):
+        code, _, err = _run(capsys, *argv, "--config", str(cfg))
+        assert code == 3
+        assert "no fixing matrix found" in err and "trace <= 2" in err
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -477,15 +479,31 @@ def test_ring_wrong_matrix_for_theta(capsys):
 
 # -- README ---------------------------------------------------------------------------
 
+# report branches the README commands do not reach, each with the test that
+# it was reached
+_MORE_REPORTS = [
+    ('rmtorus ring --theta "(1+sqrt5)/2" --max-degree 3',
+     lambda rep: rep["quadratic"] is None and not any(rep["generation"])),
+    ('rmtorus ring --theta "(-5+sqrt5)/10" --g "[[-1,-1],[5,4]]" --max-degree 1 --theta-diagnostic',
+     lambda rep: "theta_diagnostic" in rep),
+    # c_1 = 8 > 6: no finite_rep_exact key
+    ('rmtorus module-check --theta "sqrt17" --degrees 1',
+     lambda rep: "finite_rep_exact" not in rep["heisenberg"]),
+    ('rmtorus theta --r "2/5" --m "0.1+0.9i" --z=-0.3+0.05i', lambda rep: "z" in rep),
+]
+
+
 def test_readme_commands_exit_0(capsys):
-    # every documented command line runs as written
+    # every documented command line runs as written; each report, these and
+    # _MORE_REPORTS, is plain JSON, since main's json.dumps has no default hook
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
              for line in block.splitlines() if line.strip().startswith("rmtorus ")]
     assert {line.split()[1] for line in lines} == set(cli._RUNNERS)
-    for line in lines:
-        code, _, err = _run(capsys, *shlex.split(line)[1:])
+    for line, reached in [(line, lambda rep: True) for line in lines] + _MORE_REPORTS:
+        code, out, err = _run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+        assert reached(_report(out)[0]), line
 
 
 def test_readme_quick_tour_runs():

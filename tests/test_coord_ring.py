@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from rmtorus import coord_ring
-from rmtorus.cli import _json_default
 from rmtorus.coord_ring import (
     _null_space,
     _relation_span,
@@ -203,7 +202,7 @@ def test_ring_report_serializable():
     assert rep["dims"] == [1, 5, 15]
     assert rep["generation"] == [True]
     assert rep["quadratic"] is None  # needs degree 3
-    text = json.dumps(rep, sort_keys=True, default=_json_default)
+    text = json.dumps(rep, sort_keys=True)
     assert json.loads(text)["dims"] == [1, 5, 15]
 
 

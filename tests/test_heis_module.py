@@ -21,7 +21,7 @@ from rmtorus.heis_module import (
 )
 from rmtorus.coord_ring import structure_tensor
 from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector, cis_turns
-from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, rank_value, unit_phase
+from rmtorus.qfield import QuadIrr, RMData, rank_value, unit_phase
 from rmtorus.torus_alg import TorusElement
 
 GOLDEN = RMData(QuadIrr.parse("(1+sqrt5)/2"))
@@ -282,13 +282,6 @@ def test_module_element_validation():
                              FiniteVector.delta(4, 0))
     with pytest.raises(ValueError):
         holomorphic_element(data, 1, 0.3 - 1.1j)
-
-
-def test_module_element_json_round_trip():
-    xi = _probe(TEST5, 2)
-    back = ModuleElement.from_json_dict(xi.to_json_dict())
-    assert back.degree == xi.degree
-    assert back.sup_distance(xi, XS) == 0.0
 
 
 # -- balanced products --------------------------------------------------------------

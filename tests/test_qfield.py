@@ -338,11 +338,3 @@ def test_unit_phase_cache_is_bounded():
     unit_phase.cache_clear()
     assert unit_phase.cache_info().currsize == 0
     assert [unit_phase(t, k) for t in ALL_THETAS for k in (-61, 1, 3600)] == before
-
-
-def test_json_round_trip():
-    for theta in ALL_THETAS:
-        assert QuadIrr.from_json_dict(theta.to_json_dict()) == theta
-    data = RMData(TEST5)
-    d2 = RMData.from_json_dict(data.to_json_dict())
-    assert d2.theta == data.theta and d2.g.to_list() == data.g.to_list()

@@ -1,4 +1,3 @@
-import cmath
 import math
 import operator
 
@@ -351,12 +350,3 @@ def test_unknown_derivation_rejected():
         TorusElement.u(GOLDEN).derive("d3")
     with pytest.raises(ValueError):
         TorusElement.u(GOLDEN).derive("dtau")
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(8)
-    x = _random_element(rng, TEST5, 9)
-    y = TorusElement.from_json_dict(x.to_json_dict())
-    assert y == x
-    zf = TorusElement(0.25, {(1, 2): 1 - 1j})
-    assert TorusElement.from_json_dict(zf.to_json_dict()) == zf
