@@ -131,20 +131,20 @@ def _require(opts: dict, key: str, sub: str):
 
 
 def _int_of(val, name: str, low: int) -> int:
-    """An integer option value that is at least ``low``; anything else is bad input."""
+    """An integer option value that is at least ``low``; anything else (a bool too) is bad input."""
     try:
         n = int(val)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or (n != val and not isinstance(val, str)) or n < low:
+    if n is None or isinstance(val, bool) or (n != val and not isinstance(val, str)) or n < low:
         raise InputError(f"--{name.replace('_', '-')} must be an integer >= {low}, got {val!r}")
     return n
 
 
 def _tol_of(val) -> float:
-    """A tolerance option value: a finite number > 0; anything else is bad input."""
+    """A tolerance option value: a finite number > 0; anything else (a bool too) is bad input."""
     try:
-        tol = float(val)
+        tol = math.nan if isinstance(val, bool) else float(val)
     except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
@@ -344,12 +344,15 @@ def _cmd_ring(opts: dict) -> dict:
     data = _data_of(opts, "ring")
     tau = _tau_of(opts, "ring")
     max_degree = _int_of(opts["max_degree"], "max_degree", 1)
+    diagnostic = opts["theta_diagnostic"]
+    if not isinstance(diagnostic, bool):
+        raise InputError(f"--theta-diagnostic must be true or false, got {diagnostic!r}")
     try:
         report = coord_ring.ring_report(
             data, tau, max_degree=max_degree,
             assoc_triples=_int_of(opts["assoc_triples"], "assoc_triples", 0),
             seed=_int_of(opts["seed"], "seed", 0),
-            theta_diagnostic=bool(opts.get("theta_diagnostic")),
+            theta_diagnostic=diagnostic,
         )
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None

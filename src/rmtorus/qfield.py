@@ -6,12 +6,13 @@ A value is stored in the canonical form (p + q*sqrt(D)) / r with
     * r > 0
     * gcd(p, q, r) = 1
 
-so equality, hashing and comparisons are structural.  All predicates that the
-rest of the package relies on (signs, floors, lattice membership, fixed-point
-checks) are decided in integer arithmetic; floats only appear when a value is
-explicitly converted via ``float()``, which returns the correctly rounded
-double from an integer bracket of sqrt(D), as ``unit_phase`` does for the
-fractional part of k*t.
+so equality and hashing are structural.  All predicates that the rest of the
+package relies on (signs, orderings, floors, lattice membership, fixed-point
+checks) are decided in integer arithmetic.  Signs, orderings, floors and
+``float()`` all read one integer-square-root bracket of q*sqrt(D): an
+irrational value's sign is that of its floor, and ``float()`` returns the
+correctly rounded double between two such brackets, as ``unit_phase`` does
+for the fractional part of k*t.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt
 
 _RATIONAL_D = 2
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -43,6 +40,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, m
 
 
+@total_ordering
 class QuadIrr:
     """Element (p + q*sqrt(D))/r of a real quadratic field (or of Q)."""
 
@@ -221,21 +219,16 @@ class QuadIrr:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadIrr.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QuadIrr.from_rational(1))
 
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:
-        return _sign_sum(self.p, self.q, self.D)
+        # an irrational value is never an integer, so it is > 0 exactly when
+        # its floor is >= 0
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        return 1 if _floor_scaled(self.p, self.q, self.D, 0) >= 0 else -1
 
     def __eq__(self, other):
         try:
@@ -259,15 +252,6 @@ class QuadIrr:
 
     def __lt__(self, other):
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -344,19 +328,17 @@ def _to_float(p: int, q: int, D: int, r: int) -> float:
         s *= 2
 
 
-def _sign_sum(p: int, q: int, D: int) -> int:
-    """Exact sign of p + q*sqrt(D)."""
-    if q == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    if p > 0:
-        return _sign(p * p - q * q * D)
-    return _sign(q * q * D - p * p)
+def _power(x, n: int, one):
+    """x**n by square-and-multiply; a negative n inverts x first."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -398,16 +380,7 @@ class SL2Matrix:
         return SL2Matrix(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "SL2Matrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = SL2Matrix.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, SL2Matrix.identity())
 
     def to_list(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
@@ -530,33 +503,28 @@ def rank_value(g: SL2Matrix, n: int, t: QuadIrr) -> QuadIrr:
     return t * gn.c + gn.d
 
 
+def lattice_coordinates(x: QuadIrr, theta: QuadIrr) -> LatticeElement:
+    """Write x = m + n*theta exactly, or raise ValueError."""
+    if theta.is_rational:
+        raise ValueError("lattice basis must be irrational")
+    if x.q != 0 and x.D != theta.D:
+        raise ValueError("value is not in the lattice")
+    n = Fraction(x.q * theta.r, x.r * theta.q)
+    m = Fraction(x.p, x.r) - n * Fraction(theta.p, theta.r)
+    if n.denominator != 1 or m.denominator != 1:
+        raise ValueError("value is not in the lattice")
+    return LatticeElement(int(m), int(n))
+
+
 def in_theta_lattice(x: QuadIrr, theta: QuadIrr) -> bool:
     """Exact membership of x in Z + theta*Z."""
     if theta.is_rational:
         raise ValueError("lattice basis must be irrational")
-    if x.q == 0:
-        qn = Fraction(0)
-    elif x.D != theta.D:
+    try:
+        lattice_coordinates(x, theta)
+    except ValueError:
         return False
-    else:
-        qn = Fraction(x.q * theta.r, x.r * theta.q)
-    if qn.denominator != 1:
-        return False
-    n = qn.numerator
-    mfrac = Fraction(x.p, x.r) - n * Fraction(theta.p, theta.r)
-    return mfrac.denominator == 1
-
-
-def lattice_coordinates(x: QuadIrr, theta: QuadIrr) -> LatticeElement:
-    """Write x = m + n*theta exactly, or raise ValueError."""
-    if not in_theta_lattice(x, theta):
-        raise ValueError("value is not in the lattice")
-    if x.q == 0:
-        n = 0
-    else:
-        n = (x.q * theta.r) // (x.r * theta.q)
-    m = Fraction(x.p, x.r) - n * Fraction(theta.p, theta.r)
-    return LatticeElement(int(m), n)
+    return True
 
 
 def fundamental_discriminant(D: int) -> int:
@@ -599,8 +567,8 @@ def ring_generator(D: int) -> QuadIrr:
 class RMData:
     """A real quadratic theta together with a fixing matrix and module constant.
 
-    epsilon = (c*theta + d)/c is kept exact; powers of g (entries, exact and
-    floating epsilon_n) are cached since every module of degree n uses them.
+    epsilon = (c*theta + d)/c is kept exact; the powers g^n and the floating
+    epsilon_n are cached since every module of degree n uses them.
     """
 
     def __init__(self, theta: QuadIrr, g: SL2Matrix | None = None):
@@ -624,12 +592,8 @@ class RMData:
             raise ValueError("module degree must be >= 1")
         if n not in self._powers:
             gn = self.g**n
-            eps_q = (self.theta * gn.c + gn.d) / gn.c
-            self._powers[n] = ModuleConstants(
-                matrix=gn,
-                eps_exact=eps_q,
-                eps=float(eps_q),
-            )
+            eps = (self.theta * gn.c + gn.d) / gn.c
+            self._powers[n] = ModuleConstants(matrix=gn, eps=float(eps))
         return self._powers[n]
 
     def __repr__(self):
@@ -641,7 +605,6 @@ class ModuleConstants:
     """Cached per-degree constants: g^n and epsilon_n = (c_n*theta + d_n)/c_n."""
 
     matrix: SL2Matrix
-    eps_exact: QuadIrr
     eps: float
 
     @property

@@ -119,6 +119,10 @@ def test_unknown_subcommand_is_usage_error(capsys):
     (["algebra", "--theta", "sqrt2", "--support", "-3"], None),
     (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", ","], None),
     (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", " "], None),
+    # a JSON true or false is a bool, not a count
+    (["algebra", "--theta", "sqrt2"], {"count": True, "tol": True}),
+    (["algebra", "--theta", "sqrt2", "--count", "1"], {"seed": False}),
+    (["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]"], {"max_degree": True}),
 ])
 def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
     if config is not None:
@@ -139,6 +143,8 @@ def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
     (["algebra", "--theta", "sqrt2", "--count", "2", "--tol", "nan"], None),
     (["module-check", "--theta", "(-5+sqrt5)/10", "--tol", "nan"], None),
     (["module-check", "--theta", "(-5+sqrt5)/10"], {"tol": "abc"}),
+    (["algebra", "--theta", "sqrt2", "--count", "1"], {"tol": True}),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "1"], {"tol": True}),
 ])
 def test_bad_tolerance_exits_2(tmp_path, capsys, argv, config):
     # a tolerance <= 0 or NaN would certify nothing or switch the residual gate off
@@ -449,6 +455,24 @@ def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
     assert code == 0
     assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
     assert _report(out)[0]["theta_diagnostic"]
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])
+def test_config_theta_diagnostic_is_a_json_bool(tmp_path, capsys, value):
+    # "false" is a truthy string, so only a JSON true or false is accepted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta_diagnostic": value}))
+    code, out, err = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
+                          "--max-degree", "1", "--config", str(cfg))
+    if isinstance(value, bool):
+        assert code == 0
+        rep, payload = _report(out)
+        assert payload["config"]["theta_diagnostic"] is value
+        assert ("theta_diagnostic" in rep) is value
+    else:
+        assert code == 2
+        assert out == ""
+        assert "--theta-diagnostic" in err and "Traceback" not in err
 
 
 def _fail(*args, **kwargs):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,6 +27,9 @@ from rmtorus.qfield import (
     unit_phase,
 )
 from test_torus_alg import _SQUAREFREE, quad_irrs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracles import Surd, fundamental_trace  # noqa: E402
 
 GOLDEN = QuadIrr.parse("(1+sqrt5)/2")
 ROOT2 = QuadIrr.parse("sqrt2")
@@ -103,6 +108,54 @@ def _mpmath_unit_phase(t, k):
 def test_floor_is_exact(t):
     n = math.floor(t)
     assert (t - n).sign() >= 0 and (t - (n + 1)).sign() < 0
+
+
+def _sign_sum(p: int, q: int, D: int) -> int:
+    """Exact sign of p + q*sqrt(D) by squaring, the rule sign() used before it read the floor."""
+    def _sign(x):
+        return (x > 0) - (x < 0)
+
+    if q == 0:
+        return _sign(p)
+    if p == 0:
+        return _sign(q)
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    if p > 0:
+        return _sign(p * p - q * q * D)
+    return _sign(q * q * D - p * p)
+
+
+@st.composite
+def _same_field_pairs(draw):
+    """Two values of big_quad_irrs' size over one squarefree D."""
+    D = draw(st.sampled_from(_SQUAREFREE))
+    big, den = st.integers(-2**200, 2**200), st.integers(1, 2**100)
+    return tuple(QuadIrr(draw(big), draw(big), draw(den), D) for _ in range(2))
+
+
+@given(big_quad_irrs)
+@example(QuadIrr(0, 0, 1, 2))
+@example(QuadIrr(-_PELL.p, _PELL.q, 1, 2))
+@example(QuadIrr(_PELL.p, -_PELL.q, 1, 2))
+def test_sign_matches_squaring_reference(t):
+    assert t.sign() == _sign_sum(t.p, t.q, t.D)
+
+
+@given(_same_field_pairs())
+@example((GOLDEN, GOLDEN))
+@example((QuadIrr(-_PELL.p, _PELL.q, 1, 2), QuadIrr(0, 0, 1, 2)))
+@example((QuadIrr(_PELL.p, 0, 1, 2), QuadIrr(0, _PELL.q, 1, 2)))
+def test_orderings_match_squaring_reference(pair):
+    # x - y = ((p1*r2 - p2*r1) + (q1*r2 - q2*r1)*sqrt(D)) / (r1*r2), worked out
+    # in integers here rather than by QuadIrr subtraction
+    x, y = pair
+    D = x.D if x.q else y.D
+    s = _sign_sum(x.p * y.r - y.p * x.r, x.q * y.r - y.q * x.r, D)
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (y > x, y >= x, y < x, y <= x) == (s < 0, s <= 0, s > 0, s >= 0)
 
 
 @given(big_quad_irrs)
@@ -209,6 +262,37 @@ def test_fixing_matrix_matches_brute_force(theta):
     assert fixing_matrix(theta).to_list() == _oracle_fixing(theta).to_list()
 
 
+@st.composite
+def _rm_forms(draw):
+    """+-sqrt(D) + k or, for D = 1 mod 4, +-(1+sqrt(D))/2 + k, as oracle surds."""
+    D = draw(st.sampled_from(_SQUAREFREE))
+    S = draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(-5, 5))
+    if D % 4 == 1 and draw(st.booleans()):
+        return Surd(2 * k + S, S, 2, D)
+    return Surd(k, S, 1, D)
+
+
+@given(_rm_forms())
+@example(Surd(0, 1, 1, 61))         # trace 2 * 1766319049, far past the search
+@example(Surd(-5, 1, 10, 5))        # the README theta
+def test_fixing_matrix_contract(s):
+    # the contract a continued-fraction fixing_matrix must keep: the minimal
+    # trace of the integer oracle, and a refusal below it
+    theta = QuadIrr(s.P, s.S, s.Q, s.D)
+    T = fundamental_trace(s)
+    if T > 2 * 10 ** 4:
+        with pytest.raises(ValueError):
+            fixing_matrix(theta, max_trace=10 ** 3)
+        return
+    g = fixing_matrix(theta)
+    assert g.det == 1 and g.c > 0 and theta * g.c + g.d > 0
+    assert moebius_act(g, theta) == theta
+    assert g.trace == T
+    with pytest.raises(ValueError):
+        fixing_matrix(theta, max_trace=T - 1)
+
+
 def test_fixing_matrix_rejects_rationals():
     with pytest.raises(ValueError):
         fixing_matrix(QuadIrr.parse("3/4"))
@@ -220,6 +304,19 @@ def test_matrix_powers():
     assert g3.to_list() == [[-11, -8], [40, 29]]
     assert (g ** -1 * g).to_list() == [[1, 0], [0, 1]]
     assert g3.a * g3.d - g3.b * g3.c == 1
+
+
+@pytest.mark.parametrize("x", [GOLDEN, TEST5, QuadIrr(3, -2, 7, 13), QuadIrr.from_rational(Fraction(-2, 3)),
+                               SL2Matrix(-1, -1, 5, 4), SL2Matrix(2, 1, 1, 1), SL2Matrix(1, 7, 0, 1)])
+def test_power_matches_repeated_multiplication(x):
+    one = QuadIrr.from_rational(1) if isinstance(x, QuadIrr) else SL2Matrix.identity()
+    for n in range(-12, 13):
+        want = one
+        for _ in range(abs(n)):
+            want = want * x
+        if n < 0:
+            want = want.inverse()
+        assert x ** n == want
 
 
 # -- rank lattice and powers ----------------------------------------------------
@@ -235,11 +332,36 @@ def test_rank_multiplicativity(theta):
 
 
 def test_lattice_membership():
-    t = GOLDEN
-    x = LatticeElement(3, -2).value(t)
-    assert in_theta_lattice(x, t)
-    assert lattice_coordinates(x, t) == LatticeElement(3, -2)
-    assert not in_theta_lattice(x / 2, t)
+    for theta in ALL_THETAS:
+        x = LatticeElement(3, -2).value(theta)
+        for value, coords in [
+            (x, LatticeElement(3, -2)),                      # a member
+            (x / 2, None),                                   # half a member
+            (QuadIrr.from_rational(7), LatticeElement(7, 0)),
+            (QuadIrr.from_rational(Fraction(1, 2)), None),
+            (theta * 5 - 4, LatticeElement(-4, 5)),
+            (QuadIrr(1, 1, 1, 3), None),                     # another radicand
+        ]:
+            assert in_theta_lattice(value, theta) == (coords is not None)
+            if coords is None:
+                with pytest.raises(ValueError):
+                    lattice_coordinates(value, theta)
+            else:
+                assert lattice_coordinates(value, theta) == coords
+                assert coords.value(theta) == value
+
+
+@given(quad_irrs, st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_lattice_coordinates_round_trip(theta, m, n):
+    if theta.is_rational:
+        with pytest.raises(ValueError):
+            lattice_coordinates(QuadIrr.from_rational(m), theta)
+        with pytest.raises(ValueError):
+            in_theta_lattice(QuadIrr.from_rational(m), theta)
+        return
+    x = LatticeElement(m, n).value(theta)
+    assert lattice_coordinates(x, theta) == LatticeElement(m, n)
+    assert in_theta_lattice(x, theta)
 
 
 def test_epsilon_recursion():
@@ -248,8 +370,9 @@ def test_epsilon_recursion():
         data = RMData(theta)
         g = data.g
         eps = data.epsilon
-        e2 = data.power(2).eps_exact
+        e2 = rank_value(g, 2, theta) / data.power(2).c
         assert e2 == eps * eps * g.c / (g.a + g.d)
+        assert float(e2) == data.power(2).eps
 
 
 # -- continued fractions ---------------------------------------------------------
