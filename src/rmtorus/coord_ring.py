@@ -36,8 +36,18 @@ has c_0 = 0 and no module realizes it, so scalars act by plain rescaling.
 check_generation and check_quadratic implement the two desk-checkable ring
 conditions: surjectivity of R_1 (x) R_n -> R_{n+1} by numerical rank, and the
 degree-3 quadraticity comparison span(K (x) R_1 + R_1 (x) K) = ker(mu_3) with
-K = ker(mu_2).  The cyclic symmetry of the structure constants is an identity
-of the labels; theta_match_report lists the labels of the largest entries.
+K = ker(mu_2).  The finite Heisenberg symmetry grades every map they factor
+by Z/c_1: k = -s and l = j + s*a_n mod c_1 above, and c_1 divides every c_n,
+so T(m, n)[j, k, l] = 0 unless j = l + a_n*k mod c_1.  A row j has weight j,
+a mu_n column (k, l) weight l + a_n*k and a mu_3 column (p, q, r) weight
+a_1^2*p + a_1*q + r, all from exact integers (StructureTensor.a).  The weight
+blocks of one map all have the same shape, so each rank is one batched SVD of
+its (c_1, rows/c_1, cols/c_1) stack, with the cutoff relative to the largest
+singular value over all blocks, which is the dense one.  K is kept per weight,
+and the relation span and the inclusion residual are built block by block.
+The tensors themselves are stored dense.  The cyclic symmetry of the structure
+constants is an identity of the labels; theta_match_report lists the labels
+of the largest entries.
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ _QUADRATIC_RANK_TOL = 1e-7
 
 # work budget of one structure tensor: c_{m+n}*c_m*c_n entries (T(1, 5) of
 # the README data holds 990,000), and folded labels times 2N+1 theta terms.
+# The entry budget also caps the associativity batch at triples*c_3 entries.
 # Both the terms and the witness's averaging series grow like 1/sqrt(Im tau);
 # near real tau the witness takes nearly all the time, about 11 s for
 # README-data degree 2 at Im tau = 1e-7 (125,965 label terms in T(2, 1)).
@@ -113,6 +124,7 @@ class StructureTensor:
     labels: np.ndarray            # numerators of r over `denominator`, -1 where T is 0
     denominator: int              # P * c_{m+n}
     level: int                    # lambda * P^2: the entries are theta_r(level * tau)
+    a: int                        # a_n of g^n: T[j, k, l] = 0 unless j = l + a*k mod c_1
     max_residual: float           # relative to max|T|, see structure_tensor
     entry_bound: float            # certified absolute error of every entry
     max_cond: float               # condition number of the witness's expansion
@@ -198,7 +210,8 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     scale = float(np.max(np.abs(T)))
     gap = float(np.max(np.abs(np.array(witness.entries) - T[:, 0, 0])))
     worst = max(bound / scale, gap / scale, prep["max_residual"])
-    return StructureTensor((m, n), T, labels, den, level, worst, bound, prep["max_cond"])
+    return StructureTensor((m, n), T, labels, den, level, data.power(n).a, worst, bound,
+                           prep["max_cond"])
 
 
 def cyclic_shifts(m: int, n: int, data: RMData) -> tuple[int, int, int]:
@@ -237,13 +250,38 @@ def cyclic_symmetry_residual(st: StructureTensor, data: RMData) -> float:
 # -- ring condition checks -----------------------------------------------------
 
 
-def _numerical_rank(M: np.ndarray, rel_tol: float) -> int:
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+def _blocks(M: np.ndarray, row_weight: np.ndarray, col_weight: np.ndarray, c1: int) -> np.ndarray:
+    """M gathered into its (c1, rows/c1, cols/c1) stack of Z/c1 weight blocks.
+
+    Block w holds the rows and the columns of weight w mod c1, each in their
+    order in M; every weight has the same number of rows, and of columns.
+    """
+    rows = np.argsort(row_weight % c1, kind="stable").reshape(c1, -1)
+    cols = np.argsort(col_weight % c1, kind="stable").reshape(c1, -1)
+    return M[rows[:, :, None], cols[:, None, :]]
+
+
+def _graded(st: StructureTensor, c1: int) -> np.ndarray:
+    """The map R_m (x) R_n -> R_{m+n} of T(m, n) as its stack of weight blocks.
+
+    Row j has weight j and column (k, l) weight l + a_n*k; T is 0 off the
+    diagonal blocks (StructureTensor.a).  Block w's columns are the (k, l) of
+    weight w in (k, l) order, so for c_m = c_n = c1 column p is (p, w - a_n*p).
+    """
+    cN, cm, cn = st.tensor.shape
+    col_weight = np.arange(cn) + (st.a % c1) * np.arange(cm)[:, None]
+    return _blocks(st.tensor.reshape(cN, cm * cn), np.arange(cN), col_weight.ravel(), c1)
+
+
+def _block_ranks(sv: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rank of each block from its singular values (one row per block): the
+    cutoff is rel_tol times the largest over all blocks, as for the whole map."""
+    return np.sum(sv > rel_tol * sv.max(initial=0.0), axis=-1)
+
+
+def _rank(stack: np.ndarray, rel_tol: float) -> int:
+    """Numerical rank of a block-diagonal map given as its stack of blocks."""
+    return int(np.sum(_block_ranks(np.linalg.svd(stack, compute_uv=False), rel_tol)))
 
 
 def check_generation(tensors: dict, max_degree: int) -> dict:
@@ -251,8 +289,8 @@ def check_generation(tensors: dict, max_degree: int) -> dict:
     out = {"max_degree": max_degree, "per_degree": [], "generated": True}
     for n in range(1, max_degree):
         st = tensors[(1, n)]
-        cN = st.tensor.shape[0]
-        rank = _numerical_rank(st.tensor.reshape(cN, -1), _GENERATION_RANK_TOL)
+        cN, c1 = st.tensor.shape[:2]
+        rank = _rank(_graded(st, c1), _GENERATION_RANK_TOL)
         ok = rank == cN
         out["per_degree"].append({
             "source": [1, n], "target_dim": cN, "rank": rank,
@@ -262,41 +300,50 @@ def check_generation(tensors: dict, max_degree: int) -> dict:
     return out
 
 
-def _null_space(M: np.ndarray, rel_tol: float) -> np.ndarray:
-    u, sv, vh = np.linalg.svd(M)
-    if sv.size == 0 or sv[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    rank = int(np.sum(sv > rel_tol * sv[0]))
-    return vh[rank:].conj().T
+def _relation_blocks(K: np.ndarray, weights: np.ndarray, a: int) -> np.ndarray:
+    """K (x) R_1 + R_1 (x) K in the weight blocks of mu_3, shape (c1, c1^2, 2*dim K).
 
-
-def _relation_span(K: np.ndarray, c1: int) -> np.ndarray:
-    """Columns spanning K (x) R_1 + R_1 (x) K inside C^{c1^3}, K's columns in C^{c1^2}.
-
-    Column (i, r, side) is k_i (x) e_r for side 0 and e_r (x) k_i for side 1.
+    Column i of K, of weight w = weights[i], holds a kernel vector of mu_2 in
+    block coordinates: entry p sits at (p, w - a*p).  Block W of mu_3 has the
+    (p, q, r) of weight a^2*p + a*q + r = W in (p, q) order, and a is a unit
+    mod c1 (a*d - b*c = 1), so each K-column meets every block once per side:
+    k (x) e_r has weight a*w + r and sits at (p, w - a*p) in every block;
+    e_p (x) k has weight a^2*p + w, so it lies in block W at p = (W - w)/a^2,
+    entry q at (p, q).
     """
-    dim_K = K.shape[1]
-    Kt = K.reshape(c1, c1, dim_K)
-    eye = np.eye(c1, dtype=complex)
-    S = np.stack([np.einsum("pqi,ts->pqtis", Kt, eye),
-                  np.einsum("ps,qti->pqtis", eye, Kt)], axis=-1)
-    return S.reshape(c1 ** 3, 2 * c1 * dim_K)
+    c1, dim_K = K.shape
+    S = np.zeros((c1, c1 * c1, 2 * dim_K), dtype=complex)
+    p = np.arange(c1)[:, None]
+    i = np.arange(dim_K)
+    S[:, p * c1 + (weights - a * p) % c1, i] = K
+    W = np.arange(c1)[:, None, None]
+    first = (W - weights) * pow(a * a, -1, c1) % c1
+    S[W, first * c1 + p, dim_K + i] = K
+    return S
 
 
 def check_quadratic(tensors: dict) -> dict:
-    """Degree-3 quadraticity: span(K(x)R_1 + R_1(x)K) = ker(mu_3), K = ker(mu_2)."""
+    """Degree-3 quadraticity: span(K(x)R_1 + R_1(x)K) = ker(mu_3), K = ker(mu_2).
+
+    Every map is graded by Z/c1 (_graded), so each rank is one batched SVD
+    of its weight blocks and K is kept per weight.
+    """
     t11, t21 = tensors[(1, 1)], tensors[(2, 1)]
     c3, c2, c1 = t21.tensor.shape
-    M2 = t11.tensor.reshape(c2, c1 * c1)
-    K = _null_space(M2, _QUADRATIC_RANK_TOL)
+    a = t11.a % c1
+    _, sv, vh = np.linalg.svd(_graded(t11, c1))
+    ranks = _block_ranks(sv, _QUADRATIC_RANK_TOL)
+    K = np.concatenate([vh[w, r:].conj().T for w, r in enumerate(ranks)], axis=1)
     dim_K = K.shape[1]
 
-    # mu_3 = mu_2 o (mu_2 (x) id): index (j; p,q,r)
+    # mu_3 = mu_2 o (mu_2 (x) id): index (j; p,q,r), column weight a^2*p + a*q + r
     M3 = np.einsum("jtr,tpq->jpqr", t21.tensor, t11.tensor).reshape(c3, c1 ** 3)
-    ker3 = c1 ** 3 - _numerical_rank(M3, _QUADRATIC_RANK_TOL)
+    p, q, r = np.indices((c1, c1, c1)).reshape(3, -1)
+    M3 = _blocks(M3, np.arange(c3), a * a * p + a * q + r, c1)
+    ker3 = c1 ** 3 - _rank(M3, _QUADRATIC_RANK_TOL)
 
-    S = _relation_span(K, c1)
-    span_S = _numerical_rank(S, _QUADRATIC_RANK_TOL)
+    S = _relation_blocks(K, np.repeat(np.arange(c1), c1 - ranks), a)
+    span_S = _rank(S, _QUADRATIC_RANK_TOL)
 
     # S must sit inside ker(mu_3) by associativity; record the violation level
     inclusion = 0.0
@@ -384,9 +431,16 @@ def ring_report(data: RMData, tau: complex, max_degree: int = 3, assoc_triples: 
     """Full JSON-ready summary used by the command line runner.
 
     The tensors are planned and built once by build_tensors; the checks only
-    read them.  With ``theta_diagnostic`` the report also lists the theta
-    labels of the largest entries of T(1, 1) (theta_match_report).
+    read them.  Before any is built, an associativity batch of more than
+    _MAX_TENSOR_ENTRIES entries (assoc_triples x c_3) is refused (RingRefused).
+    With ``theta_diagnostic`` the report also lists the theta labels of the
+    largest entries of T(1, 1) (theta_match_report).
     """
+    c3 = piece_dim(3, data)
+    if assoc_triples * c3 > _MAX_TENSOR_ENTRIES:
+        raise RingRefused(f"the associativity check would hold {assoc_triples} triples x {c3} "
+                          f"= {assoc_triples * c3} entries, above the budget of "
+                          f"{_MAX_TENSOR_ENTRIES}")
     tensors = build_tensors(data, tau, _report_pairs(max_degree, assoc_triples, theta_diagnostic))
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
     gen = check_generation(tensors, max_degree)

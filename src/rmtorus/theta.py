@@ -175,7 +175,8 @@ def certified_terms(r, t: float, tol: float, w: float = 0.0) -> int:
     while tail_bound(hi, r, t, w) > tol:
         hi *= 2
         if hi > _MAX_TERMS:
-            raise RuntimeError("theta series truncation did not certify; Im(m) too small")
+            raise RuntimeError(f"theta series truncation did not certify within {_MAX_TERMS} "
+                               f"terms at Im(m) = {t!r}, |Im z| = {w!r}")
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2

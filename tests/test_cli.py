@@ -483,16 +483,32 @@ def _fail(*args, **kwargs):
     (["--max-degree", "7"], "6786000 entries, above the budget of 1000000"),
     (["--max-degree", "1000000000"], "6786000 entries"),
     (["--tau", "0.3+1e-9i", "--max-degree", "2"], "x 60691 terms = 485528, above the budget"),
-], ids=["entries", "huge-degree", "label-terms"])
+    # the triples' draws alone would take 22.4 GiB
+    (["--max-degree", "3", "--assoc-triples", str(10 ** 8)],
+     "100000000 triples x 40 = 4000000000 entries, above the budget of 1000000"),
+], ids=["entries", "huge-degree", "label-terms", "assoc-triples"])
 def test_ring_over_budget_is_refused_up_front(capsys, monkeypatch, extra, estimate):
     monkeypatch.setattr(coord_ring, "structure_tensor", _fail)
     monkeypatch.setattr(coord_ring, "balanced_product", _fail)
     monkeypatch.setattr(heis_module, "balanced_product", _fail)
+    monkeypatch.setattr(coord_ring, "associativity_residual", _fail)
     code, out, err = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
                           *extra)
     assert code == 3
     assert out == ""
     assert estimate in err
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["--m", "0+2i", "--z", "0+1e300i"], "Im(m) = 2.0, |Im z| = 1e+300"),
+    (["--m", "0+1e-15i"], "Im(m) = 1e-15, |Im z| = 0.0"),
+], ids=["im-z", "im-m"])
+def test_theta_refusal_names_the_term_cap_and_its_cause(capsys, argv, cause):
+    code, out, err = _run(capsys, "theta", "--r", "1/3", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: theta series truncation did not certify within 10000000 terms at "
+                   f"{cause}\n")
 
 
 def test_ring_wrong_matrix_for_theta(capsys):

@@ -10,8 +10,8 @@ import pytest
 
 from rmtorus import coord_ring
 from rmtorus.coord_ring import (
-    _null_space,
-    _relation_span,
+    _graded,
+    _relation_blocks,
     associativity_residual,
     build_tensors,
     check_generation,
@@ -330,6 +330,35 @@ def test_one_n_certifies_the_largest_folded_label(tau):
         assert N == 1 or tail_bound(N - 1, top, t) > coord_ring._THETA_TOL
 
 
+# -- Heisenberg grading: block ranks against the dense maps ------------------------
+
+def _numerical_rank(M, rel_tol):
+    if M.size == 0:
+        return 0
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0:
+        return 0
+    return int(np.sum(sv > rel_tol * sv[0]))
+
+
+def _null_space(M, rel_tol):
+    u, sv, vh = np.linalg.svd(M)
+    if sv.size == 0 or sv[0] == 0:
+        return np.eye(M.shape[1], dtype=complex)
+    rank = int(np.sum(sv > rel_tol * sv[0]))
+    return vh[rank:].conj().T
+
+
+def _relation_span(K, c1):
+    """Columns spanning K (x) R_1 + R_1 (x) K inside C^{c1^3}, K's columns in C^{c1^2}."""
+    dim_K = K.shape[1]
+    Kt = K.reshape(c1, c1, dim_K)
+    eye = np.eye(c1, dtype=complex)
+    S = np.stack([np.einsum("pqi,ts->pqtis", Kt, eye),
+                  np.einsum("ps,qti->pqtis", eye, Kt)], axis=-1)
+    return S.reshape(c1 ** 3, 2 * c1 * dim_K)
+
+
 def _reference_relation_span(K, c1):
     cols = []
     eye = np.eye(c1, dtype=complex)
@@ -341,16 +370,136 @@ def _reference_relation_span(K, c1):
     return np.column_stack(cols) if cols else np.zeros((c1 ** 3, 0), dtype=complex)
 
 
-def test_relation_span_matches_column_loop():
-    # the README kernel K = ker(mu_2) (dim 10), and a seeded K with c1 = 4
-    t11 = structure_tensor(1, 1, README, TAU)
-    rng = np.random.default_rng(4)
-    for c1, K in ((5, _null_space(t11.tensor.reshape(15, 25), 1e-7)),
-                  (4, rng.normal(size=(16, 3)) - 1j * rng.normal(size=(16, 3)))):
-        S = _relation_span(K, c1)
-        assert S.shape == (c1 ** 3, 2 * c1 * K.shape[1])
-        assert np.array_equal(S, _reference_relation_span(K, c1))
-        assert _relation_span(K[:, :0], c1).shape == (c1 ** 3, 0)
+def _reference_quadratic(tensors):
+    """check_quadratic's dimensions from the dense maps, one SVD each."""
+    t11, t21 = tensors[(1, 1)].tensor, tensors[(2, 1)].tensor
+    c3, c2, c1 = t21.shape
+    K = _null_space(t11.reshape(c2, c1 * c1), coord_ring._QUADRATIC_RANK_TOL)
+    M3 = np.einsum("jtr,tpq->jpqr", t21, t11).reshape(c3, c1 ** 3)
+    S = _relation_span(K, c1)
+    return {"dim_K": K.shape[1],
+            "ker3_dim": c1 ** 3 - _numerical_rank(M3, coord_ring._QUADRATIC_RANK_TOL),
+            "span_dim": _numerical_rank(S, coord_ring._QUADRATIC_RANK_TOL)}
+
+
+def _translate(data, k):
+    """theta + k with g conjugated by [[1, k], [0, 1]]: the same c_n, a_n moved by k*c_n."""
+    shift = SL2Matrix.from_list([[1, k], [0, 1]])
+    return RMData(data.theta + k, shift * data.g * shift.inverse())
+
+
+C6 = RMData(QuadIrr.parse("(3+sqrt3)/6"), SL2Matrix.from_list([[5, -1], [6, -1]]))
+C8 = RMData(QuadIrr.parse("(-4+sqrt2)/4"))
+_PANEL_DATA = {"readme": README, "c6": C6, "c8": C8,
+               **{f"{name}+{k}": _translate(data, k) for (name, data), k in
+                  zip((("readme", README), ("c6", C6)),
+                      np.random.default_rng(15).integers(-9, 10, size=2).tolist())}}
+# T(m, n), m + n <= 4, within the entry budget: (-4+sqrt2)/4 has c_n = 8, 48,
+# 280, 1632, so its T(1, 3), T(3, 1) and T(2, 2) hold about 3.7e6 entries
+_PANEL_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
+
+
+@pytest.fixture(scope="module")
+def panel():
+    return {name: build_tensors(data, TAU, [mn for mn in _PANEL_PAIRS
+                                            if name != "c8" or sum(mn) < 4])
+            for name, data in _PANEL_DATA.items()}
+
+
+def test_panel_data():
+    assert [piece_dim(1, d) for d in _PANEL_DATA.values()] == [5, 6, 8, 5, 6]
+    for name, data in _PANEL_DATA.items():
+        if "+" in name:
+            base = _PANEL_DATA[name.split("+")[0]]
+            assert data.g != base.g
+            assert all(piece_dim(n, data) == piece_dim(n, base) for n in range(1, 4))
+
+
+def test_tensors_vanish_off_the_heisenberg_grading(panel):
+    # k = -s and l = j + s*a_n mod c_1 (tensor_labels), and c_1 | c_m, c_n, c_N
+    for name, tensors in panel.items():
+        c1 = piece_dim(1, _PANEL_DATA[name])
+        for (m, n), st in tensors.items():
+            assert st.a == _PANEL_DATA[name].power(n).a
+            j, k, l = np.indices(st.tensor.shape)
+            off = (j - l - st.a * k) % c1 != 0
+            assert np.all(st.tensor[off] == 0) and np.all(st.labels[off] == -1), (name, m, n)
+            # the blocks gather every entry on the grading, each once
+            blocks = _graded(st, c1)
+            assert blocks.shape == (c1, st.tensor.shape[0] // c1, st.tensor[0].size // c1)
+            assert np.count_nonzero(blocks) == np.count_nonzero(st.tensor)
+
+
+def test_block_ranks_match_dense_references(panel):
+    for name, tensors in panel.items():
+        max_degree = 3 if name == "c8" else 4
+        gen = check_generation(tensors, max_degree)
+        for d in gen["per_degree"]:
+            st = tensors[tuple(d["source"])]
+            want = _numerical_rank(st.tensor.reshape(st.tensor.shape[0], -1),
+                                   coord_ring._GENERATION_RANK_TOL)
+            assert d["rank"] == want == d["target_dim"], (name, d)
+        quad = check_quadratic(tensors)
+        ref = _reference_quadratic(tensors)
+        assert {key: quad[key] for key in ref} == ref, name
+        assert quad["dim_K"] == quad["expected_dim_K"] and quad["quadratic"] is True
+        assert 0.0 < quad["inclusion_residual"] < 1e-14, name
+    # c_1 = 1 is one block: the golden ratio's T(1, 1) has rank 1 < c_2 = 3
+    tensors = build_tensors(GOLDEN, TAU, [(1, 1), (2, 1)])
+    quad = check_quadratic(tensors)
+    assert {key: quad[key] for key in ("dim_K", "ker3_dim", "span_dim")} == \
+        _reference_quadratic(tensors) == {"dim_K": 0, "ker3_dim": 0, "span_dim": 0}
+
+
+def test_block_rank_cutoff_is_that_of_the_dense_map():
+    # one block 1e-9 times smaller than the others: below the cutoff of the
+    # whole map, though each of its blocks alone has full rank
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(3, 4, 6)) + 1j * rng.normal(size=(3, 4, 6))
+    stack[1] *= 1e-9
+    dense = np.zeros((12, 18), dtype=complex)
+    for w in range(3):
+        dense[4 * w:4 * w + 4, 6 * w:6 * w + 6] = stack[w]
+    assert coord_ring._rank(stack, 1e-8) == _numerical_rank(dense, 1e-8) == 8
+    assert coord_ring._rank(stack, 1e-10) == _numerical_rank(dense, 1e-10) == 12
+
+
+def _sorted_columns(M):
+    return M[:, np.lexsort(np.concatenate([M.real, M.imag])[::-1])]
+
+
+def test_relation_span_matches_column_loop(panel):
+    # the graded span of K = ker(mu_2), placed back in C^{c1^3}, has exactly
+    # the columns of the dense column loop; also for K with one weight empty
+    for name, tensors in panel.items():
+        t11 = tensors[(1, 1)]
+        c1 = t11.tensor.shape[1]
+        a = t11.a % c1
+        _, sv, vh = np.linalg.svd(_graded(t11, c1))
+        ranks = coord_ring._block_ranks(sv, coord_ring._QUADRATIC_RANK_TOL)
+        for drop in (None, 0):
+            dims = c1 - ranks
+            if drop is not None:
+                dims[drop] = 0
+            K = np.concatenate([vh[w, c1 - d:].conj().T for w, d in enumerate(dims)], axis=1)
+            weights = np.repeat(np.arange(c1), dims)
+            S = _relation_blocks(K, weights, a)
+            assert S.shape == (c1, c1 * c1, 2 * K.shape[1])
+            # K in the coordinates of C^{c1^2}: block w's entry p is (p, w - a*p)
+            p = np.arange(c1)[:, None]
+            dense_K = np.zeros((c1 * c1, K.shape[1]), dtype=complex)
+            dense_K[p * c1 + (weights - a * p) % c1, np.arange(K.shape[1])] = K
+            # block W's row p*c1 + q is (p, q, r) with r = W - a^2*p - a*q
+            W = np.arange(c1)[:, None]
+            pq = np.arange(c1 * c1)
+            rows = pq * c1 + (W - a * a * (pq // c1) - a * (pq % c1)) % c1
+            dense_S = np.zeros((c1 ** 3, c1 * S.shape[2]), dtype=complex)
+            for w in range(c1):
+                dense_S[rows[w], w * S.shape[2]:(w + 1) * S.shape[2]] = S[w]
+            want = _reference_relation_span(dense_K, c1)
+            assert np.array_equal(_relation_span(dense_K, c1), want)
+            assert np.array_equal(_sorted_columns(dense_S), _sorted_columns(want)), name
+        assert _relation_blocks(K[:, :0], weights[:0], a).shape == (c1, c1 * c1, 0)
 
 
 def _reference_associativity(tensors, triples, seed):
