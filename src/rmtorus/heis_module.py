@@ -40,10 +40,15 @@ checks directly from the operator table (using a_N = a_m*a_n + b_m*c_n,
 c_m*eps_m*c_n*eps_n = c_N*eps_N and eps_n - eps_N = c_m/(c_n*c_N)) that H is
 well defined in j mod c_N, balanced in the algebra action, and intertwines
 the degree-N operator table on (u, j).  H is sampled for every j at once on a
-deterministic grid, its nonzero-weight (j, s) terms evaluated in fixed-size
-blocks, and expanded in the Gaussian-atom basis inherited from the factors by
-one least-squares solve with a right-hand side per j, whose per-j residuals
-are reported.  For holomorphic factors (alpha_i = tau/(2*eps_i)) the
+deterministic grid, each nonzero-weight (j, s) term at every grid point, in
+fixed-size blocks.  The exponents of an atom pair at x and y add up to
+A*u^2 + L*u + C, where only L and C depend on (j, s) and the offsets of x and
+y come from the exact integer j*c_m + s*c_N; so a term costs one exp of
+L*u + C against the pair's e(A*u^2).  The samples are summed per j and
+expanded in the Gaussian-atom basis inherited from the factors by one
+least-squares solve with a right-hand side per j, whose per-j residuals are
+reported; one SVD of the basis gives the solve and its condition number.
+For holomorphic factors (alpha_i = tau/(2*eps_i)) the
 s-dependence of the u-linear phase cancels and the series collapses onto a
 single atom per j whose coefficient is a theta constant; coord_ring builds the
 ring's structure tensors from those closed forms and keeps balanced_product
@@ -67,7 +72,11 @@ _COND_LIMIT = 1e12
 
 # (j, s) candidates, and (pairs x points) values, per block of balanced_product;
 # temporaries stay this size however large c_N times the s-window grows
-_BLOCK = 1 << 12
+_BLOCK = 1 << 14
+
+# largest Im(A)*halfwidth^2 at which balanced_product splits e(A*u^2) off an
+# atom pair's rows (_quadratic_part)
+_SPLIT_DECAY = 50.0
 
 
 class IllConditionedSolve(RuntimeError):
@@ -272,6 +281,57 @@ def _pair_columns(xi: ModuleElement, eta: ModuleElement):
     return cols
 
 
+def _quadratic_part(A: complex, us: np.ndarray, halfwidth: float):
+    """e(A*u^2) on the grid, the row-independent part of an atom pair's exponent.
+
+    A row's remaining factor e(L*u + C) is the pair's value over e(A*u^2), so
+    it grows up to exp(2*pi*Im(A)*halfwidth^2) at the grid's ends.  Above
+    _SPLIT_DECAY in Im(A)*halfwidth^2 (a target atom far narrower than the
+    grid) that could overflow, and the part is None: A*u^2 then stays in
+    each row's exponent.
+    """
+    if A.imag * halfwidth * halfwidth > _SPLIT_DECAY:
+        return None
+    return np.exp(_TWO_PI_I * A * us * us)
+
+
+def _row_values(pairs, pn: float, us: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+    """Rows w * sum over atom pairs of a1(pn*u + X) * a2(u + Y) on the grid us.
+
+    A pair's exponent alpha_1*x^2 + beta_1*x + alpha_2*y^2 + beta_2*y at
+    x = pn*u + X, y = u + Y is A*u^2 + L*u + C, where only L and C depend on
+    the row.  So each row costs one exp of L*u + C, times the pair's e(A*u^2);
+    the polynomials multiply in only above degree 0.
+    """
+    out = None
+    for a1, a2, quad in pairs:
+        L = (2.0 * a1.alpha * X + a1.beta) * pn + 2.0 * a2.alpha * Y + a2.beta
+        C = X * (a1.alpha * X + a1.beta) + Y * (a2.alpha * Y + a2.beta)
+        t = np.multiply.outer(_TWO_PI_I * L, us)
+        t += (_TWO_PI_I * C)[:, None]
+        if quad is None:
+            t += _TWO_PI_I * (a1.alpha * pn * pn + a2.alpha) * us * us
+        np.exp(t, out=t)
+        if quad is not None:
+            t *= quad
+        coef = w
+        if a1.degree:
+            t *= np.polynomial.polynomial.polyval(np.add.outer(X, pn * us), a1.poly)
+        else:
+            coef = coef * a1.poly[0]
+        if a2.degree:
+            t *= np.polynomial.polynomial.polyval(np.add.outer(Y, us), a2.poly)
+        else:
+            coef = coef * a2.poly[0]
+        t *= coef[:, None]
+        if out is None:
+            out = t
+        else:
+            out += t
+    return out
+
+
 def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9):
     """Image of xi (x) eta in E_{g^{m+n}} plus a residual report.
 
@@ -291,13 +351,13 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     km, kn, kN = data.power(m), data.power(n), data.power(N)
     cm, cn, cN = km.c, kn.c, kN.c
     an = kn.a
-    eps_m, eps_n, eps_N = km.eps, kn.eps, kN.eps
+    eps_m, eps_n = km.eps, kn.eps
 
     cols = _pair_columns(xi, eta)
     if not cols:
-        return ModuleElement(data, N, []), {"max_residual": 0.0, "max_cond": 1.0,
-                                            "grid_points": 0, "grid_halfwidth": 0.0,
-                                            "columns": 0, "s_terms": 0}
+        return ModuleElement(data, N, []), {"max_residual": 0.0, "grid_points": 0,
+                                            "grid_halfwidth": 0.0, "columns": 0,
+                                            "s_terms": 0}
 
     # grid: +-4 standard deviations of the widest target Gaussian, density
     # scaled with the output modulus so solves stay overdetermined
@@ -323,7 +383,9 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     B = np.empty((points, len(col_index)), dtype=complex)
     for idx, (alpha, beta, p) in enumerate(col_index):
         B[:, idx] = us ** p * np.exp(_TWO_PI_I * (alpha * us ** 2 + beta * us))
-    cond = float(np.linalg.cond(B))
+    # one SVD gives the condition number and the least-squares solve
+    U, sv, Vh = np.linalg.svd(B, full_matrices=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     report: dict = {
         "grid_points": points,
         "grid_halfwidth": halfwidth,
@@ -338,22 +400,29 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 
     s_terms_max = 0
     H = np.zeros((cN, points), dtype=complex)
+    # the (j, s) term samples x = pn*u + X and y = u + Y at the offsets
+    # X = x0[j] - s*eps_m = -eps_m*k/c_N and Y = y0[j] + s/c_n = k/(c_n*c_N) of
+    # the exact integer k = j*c_m + s*c_N (c_m*eps_m*c_n*eps_n = c_N*eps_N and
+    # eps_n - eps_N = c_m/(c_n*c_N)); no offset carries a cancellation error
+    # into the u-linear phases
     js = np.arange(cN)
-    x0 = -js * eps_N * pn
-    y0 = js * (eps_n - eps_N)
+    x0 = -eps_m * cm * js / cN
+    y0 = cm * js / (cn * cN)
     rows = max(1, _BLOCK // points)
     for s1, f1 in xi.terms:
         for s2, f2 in eta.terms:
             if s1.is_zero() or s2.is_zero():
                 continue
+            pairs = [(a1, a2, _quadratic_part(a1.alpha * pn * pn + a2.alpha, us, halfwidth))
+                     for a1 in s1.atoms for a2 in s2.atoms]
             # s-window of every j, then its (j, s) pairs walked in blocks; only
-            # pairs of nonzero weight are evaluated, and added in (j, s) order
-            centers = [(x0 - _atom_center(a1) + sg * pn * halfwidth) / eps_m
-                       for a1 in s1.atoms for sg in (-1, 1)]
-            centers += [cn * (_atom_center(a2) - y0 + sg * halfwidth)
-                        for a2 in s2.atoms for sg in (-1, 1)]
-            s_lo = np.floor(np.min(centers, axis=0)).astype(int) - radius
-            counts = np.ceil(np.max(centers, axis=0)).astype(int) + radius - s_lo + 1
+            # pairs of nonzero weight are evaluated, and summed per j in order
+            centers = np.array([(x0 - _atom_center(a1) + sg * pn * halfwidth) / eps_m
+                                for a1 in s1.atoms for sg in (-1, 1)]
+                               + [cn * (_atom_center(a2) - y0 + sg * halfwidth)
+                                  for a2 in s2.atoms for sg in (-1, 1)])
+            s_lo = np.floor(centers.min(axis=0)).astype(int) - radius
+            counts = np.ceil(centers.max(axis=0)).astype(int) + radius - s_lo + 1
             s_terms_max = max(s_terms_max, int(counts.max()))
             starts = np.concatenate(([0], np.cumsum(counts)))
             w1, w2 = np.array(f1.entries), np.array(f2.entries)
@@ -365,23 +434,21 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
                 hit = np.flatnonzero(w)
                 for b in range(0, hit.size, rows):
                     p = hit[b:b + rows]
-                    jp, sp = j[p], s[p]
-                    vals = (w[p, None]
-                            * s1.eval(pn * us + x0[jp, None] - sp[:, None] * eps_m)
-                            * s2.eval(us + y0[jp, None] + sp[:, None] / cn))
-                    np.add.at(H, jp, vals)
-    coef = np.linalg.lstsq(B, H.T, rcond=None)[0]
+                    jp = j[p]
+                    k = jp * cm + s[p] * cN
+                    vals = _row_values(pairs, pn, us, -eps_m * k / cN, k / (cn * cN), w[p])
+                    first = np.flatnonzero(np.diff(jp, prepend=-1))
+                    H[jp[first]] += np.add.reduceat(vals, first, axis=0)
+    coef = (Vh.conj().T / sv) @ (U.conj().T @ H.T)
     hn = np.linalg.norm(H, axis=1)
     rn = np.linalg.norm(B @ coef - H.T, axis=0)
-    report["per_j_residual"] = [float(r) / max(float(h), 1e-300) if h > 0 else 0.0
-                                for r, h in zip(rn, hn)]
+    report["per_j_residual"] = np.where(hn > 0, rn / np.maximum(hn, 1e-300), 0.0).tolist()
     # one term per basis column: the column's atom times its coefficients over j
     out_terms = [(SchwartzVector.of(GaussianAtom((0,) * p + (1,), alpha, beta)),
-                  FiniteVector(row))
+                  FiniteVector(row.tolist()))
                  for (alpha, beta, p), row in zip(col_index, coef) if np.any(row)]
     report["s_terms"] = s_terms_max
     report["max_residual"] = max(report["per_j_residual"], default=0.0)
-    report["max_cond"] = cond
     return ModuleElement(data, N, out_terms), report
 
 

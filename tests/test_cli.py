@@ -415,7 +415,7 @@ README_RING_PATHS = {
     "report.quadratic_detail.expected_dim_K", "report.quadratic_detail.inclusion_residual",
     "report.quadratic_detail.ker3_dim", "report.quadratic_detail.max_product_residual",
     "report.quadratic_detail.span_dim", "report.tau[]",
-    "report.tensors[].cyclic_symmetry_residual", "report.tensors[].degrees[]",
+    "report.tensors[].degrees[]",
     "report.tensors[].max_residual", "report.tensors[].shape[]", "report.theta.canonical",
     "report.theta.value",
 }
@@ -432,7 +432,6 @@ def test_readme_ring_report_keeps_its_key_paths(capsys):
     assert rep["quadratic"] is True
     q = rep["quadratic_detail"]
     assert (q["dim_K"], q["ker3_dim"], q["span_dim"]) == (10, 85, 85)
-    assert [t["cyclic_symmetry_residual"] for t in rep["tensors"]] == [0.0, 0.0]
 
 
 def test_ring_has_no_tol_option(capsys):
