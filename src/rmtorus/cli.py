@@ -98,7 +98,7 @@ _DEFAULTS = {
     "module-check": {"tau": "0.3+1.1i", "degrees": "1,2", "tol": 1e-12, "max_trace": None},
     "theta": {"tol": 1e-14},
     "ring": {"tau": "0.3+1.1i", "max_degree": 3, "assoc_triples": 20, "seed": 0,
-             "theta_diagnostic": False, "max_trace": None},
+             "max_trace": None},
 }
 
 
@@ -344,15 +344,11 @@ def _cmd_ring(opts: dict) -> dict:
     data = _data_of(opts, "ring")
     tau = _tau_of(opts, "ring")
     max_degree = _int_of(opts["max_degree"], "max_degree", 1)
-    diagnostic = opts["theta_diagnostic"]
-    if not isinstance(diagnostic, bool):
-        raise InputError(f"--theta-diagnostic must be true or false, got {diagnostic!r}")
     try:
         report = coord_ring.ring_report(
             data, tau, max_degree=max_degree,
             assoc_triples=_int_of(opts["assoc_triples"], "assoc_triples", 0),
             seed=_int_of(opts["seed"], "seed", 0),
-            theta_diagnostic=diagnostic,
         )
     except heis_module.IllConditionedSolve as exc:
         raise ToleranceError(f"{exc}; report: {json.dumps(exc.report, sort_keys=True)}") from None
@@ -417,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     p.add_argument("--assoc-triples", dest="assoc_triples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--theta-diagnostic", dest="theta_diagnostic",
-                   action="store_const", const=True, default=None)
     common(p)
     return ap
 

@@ -46,9 +46,9 @@ its (c_1, rows/c_1, cols/c_1) stack, with the cutoff relative to the largest
 singular value over all blocks, which is the dense one.  K is kept per weight,
 and the relation span and the inclusion residual are built block by block.
 The tensors themselves are stored dense.  Their cyclic shift and reflection
-symmetries are identities of the integer labels, so the tests check them on
-tensor_labels and no report recomputes them; theta_match_report lists the
-labels of the largest entries.
+symmetries, and the match of each entry with theta at its own label, hold by
+construction, so the tests check them on tensor_labels and no report
+recomputes them.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .heis_module import balanced_product, holomorphic_element
 from .qfield import RMData
-from .theta import certified_terms, rounding_bound, tail_bound, theta_const, theta_partial
+from .theta import certified_terms, rounding_bound, tail_bound, theta_partial
 
 # truncation tolerance of each label's theta constant, below its rounding error
 _THETA_TOL = 1e-16
@@ -123,9 +123,6 @@ def mult(u: dict, v: dict, tensors: dict) -> dict:
 class StructureTensor:
     degrees: tuple[int, int]
     tensor: np.ndarray            # shape (c_{m+n}, c_m, c_n)
-    labels: np.ndarray            # numerators of r over `denominator`, -1 where T is 0
-    denominator: int              # P * c_{m+n}
-    level: int                    # lambda * P^2: the entries are theta_r(level * tau)
     a: int                        # a_n of g^n: T[j, k, l] = 0 unless j = l + a*k mod c_1
     max_residual: float           # relative to max|T|, see structure_tensor
     entry_bound: float            # certified absolute error of every entry
@@ -135,8 +132,8 @@ class StructureTensor:
         return np.einsum("jkl,...k,...l->...j", self.tensor, x, y)
 
 
-def tensor_labels(m: int, n: int, data: RMData) -> tuple[np.ndarray, int, int]:
-    """Exact theta labels of T(m, n): (numerators, denominator, level).
+def tensor_labels(m: int, n: int, data: RMData) -> np.ndarray:
+    """Exact theta label numerators of T(m, n), over the denominator of label_plan.
 
     Every residue s mod P together with an output index j meets exactly one
     entry, k = -s mod c_m and l = j + s*a_n mod c_n, with numerator
@@ -149,11 +146,12 @@ def tensor_labels(m: int, n: int, data: RMData) -> tuple[np.ndarray, int, int]:
     s = np.arange(P)[None, :]
     labels = np.full((cN, cm, cn), -1, dtype=np.int64)
     labels[j, -s % cm, (j + s * (data.power(n).a % cn)) % cn] = (s * cN + j * cm) % (P * cN)
-    return labels, P * cN, cN * P * P // (cm * cn)
+    return labels
 
 
 def label_plan(m: int, n: int, data: RMData, tau: complex) -> tuple[int, int, int, int]:
-    """(step, denominator, level, N) of T(m, n), from integers alone.
+    """(step, denominator, level, N) of T(m, n), from integers alone: the
+    entries are theta_r(level * tau) at r = numerator / denominator.
 
     The label numerators (tensor_labels) are the subgroup of Z/(P*c_N)
     generated by c_N and c_m, the multiples of step = gcd(c_m, c_N); folded
@@ -190,7 +188,7 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     _WITNESS_TOL: for holomorphic factors its one output term is f_{tau,m+n}
     times the coefficients over j, which are read as T[:, 0, 0].  max_residual
     is the largest of the entry bound and the witness's gap to T[:, 0, 0],
-    both relative to max|T|, and the witness's own relative residual.  A
+    both relative to max|T|, and the witness's own max_residual.  A
     non-finite entry bound raises RingRefused before the witness is built.
     """
     step, den, level, N = label_plan(m, n, data, tau)
@@ -202,8 +200,7 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     if not math.isfinite(bound):
         raise RingRefused(f"T({m}, {n}): the theta entries cannot be certified "
                           f"at tau = {complex(tau)} (entry bound {bound})")
-    labels, _, _ = tensor_labels(m, n, data)
-    k = labels // step                  # -1 where T is 0, which picks the appended 0
+    k = tensor_labels(m, n, data) // step   # -1 where T is 0, which picks the appended 0
     T = np.append(values, 0.0)[np.minimum(k, den // step - k)]
     prod, prep = balanced_product(holomorphic_element(data, m, tau),
                                   holomorphic_element(data, n, tau), tol=_WITNESS_TOL)
@@ -211,7 +208,7 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     scale = float(np.max(np.abs(T)))
     gap = float(np.max(np.abs(np.array(witness.entries) - T[:, 0, 0])))
     worst = max(bound / scale, gap / scale, prep["max_residual"])
-    return StructureTensor((m, n), T, labels, den, level, data.power(n).a, worst, bound)
+    return StructureTensor((m, n), T, data.power(n).a, worst, bound)
 
 
 # -- ring condition checks -----------------------------------------------------
@@ -349,36 +346,13 @@ def associativity_residual(tensors: dict, triples: int = 20, seed: int = 0) -> f
     return float(np.max(defect))
 
 
-def theta_match_report(st: StructureTensor, tau: complex, entries: int = 8) -> list[dict]:
-    """The theta labels (r, l) of the largest entries of ``st``, with |theta_r(l*tau)|
-    evaluated from the label and its gap to the entry's magnitude."""
-    flat = np.abs(st.tensor).ravel()
-    out = []
-    for i in np.argsort(flat)[::-1][:entries]:
-        mag = float(flat[i])
-        if mag == 0:
-            continue
-        r = Fraction(int(st.labels.flat[i]), st.denominator)
-        value = abs(theta_const(r, st.level * complex(tau), tol=_THETA_TOL).value)
-        out.append({
-            "index": [int(x) for x in np.unravel_index(i, st.tensor.shape)],
-            "magnitude": mag,
-            "nearest": {"r": float(r), "l": st.level, "value": value,
-                        "rel_gap": abs(value - mag) / mag},
-        })
-    return out
-
-
-def _report_pairs(max_degree: int, assoc_triples: int, theta_diagnostic: bool):
+def _report_pairs(max_degree: int, assoc_triples: int):
     """The (m, n) of every tensor a report reads, lazily and possibly repeated:
     generation reads T(1, n) for n < max_degree, associativity T(1, 1),
-    T(2, 1) and T(1, 2), quadraticity (degree >= 3) T(1, 1) and T(2, 1), and
-    the theta diagnostic T(1, 1)."""
+    T(2, 1) and T(1, 2), and quadraticity (degree >= 3) T(1, 1) and T(2, 1)."""
     yield from ((1, n) for n in range(1, max_degree))
     if assoc_triples or max_degree >= 3:
         yield from ((1, 1), (2, 1), (1, 2))
-    if theta_diagnostic:
-        yield (1, 1)
 
 
 def build_tensors(data: RMData, tau: complex, pairs) -> dict:
@@ -394,21 +368,19 @@ def build_tensors(data: RMData, tau: complex, pairs) -> dict:
 
 
 def ring_report(data: RMData, tau: complex, max_degree: int = 3, assoc_triples: int = 20,
-                seed: int = 0, theta_diagnostic: bool = False) -> dict:
+                seed: int = 0) -> dict:
     """Full JSON-ready summary used by the command line runner.
 
     The tensors are planned and built once by build_tensors; the checks only
     read them.  Before any is built, an associativity batch of more than
     _MAX_TENSOR_ENTRIES entries (assoc_triples x c_3) is refused (RingRefused).
-    With ``theta_diagnostic`` the report also lists the theta labels of the
-    largest entries of T(1, 1) (theta_match_report).
     """
     c3 = piece_dim(3, data)
     if assoc_triples * c3 > _MAX_TENSOR_ENTRIES:
         raise RingRefused(f"the associativity check would hold {assoc_triples} triples x {c3} "
                           f"= {assoc_triples * c3} entries, above the budget of "
                           f"{_MAX_TENSOR_ENTRIES}")
-    tensors = build_tensors(data, tau, _report_pairs(max_degree, assoc_triples, theta_diagnostic))
+    tensors = build_tensors(data, tau, _report_pairs(max_degree, assoc_triples))
     dims = [piece_dim(n, data) for n in range(max_degree + 1)]
     gen = check_generation(tensors, max_degree)
     summaries = [{
@@ -429,6 +401,4 @@ def ring_report(data: RMData, tau: complex, max_degree: int = 3, assoc_triples: 
         report["quadratic_detail"] = {k: v for k, v in quad.items() if k != "quadratic"}
     else:
         report["quadratic"] = None
-    if theta_diagnostic:
-        report["theta_diagnostic"] = theta_match_report(tensors[(1, 1)], tau)
     return report

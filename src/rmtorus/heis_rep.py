@@ -388,12 +388,6 @@ class FiniteHeisenberg:
     def element(self, turns, m1: int, m2: int) -> FiniteHeisElement:
         return FiniteHeisElement(Fraction(turns), (m1, m2), self.c)
 
-    def cocycle_turns(self, x, y) -> Fraction:
-        """Central turns of (0, x)(0, y) against (0, x + y), read off the kernel's _mul."""
-        c, L = self.c, 2 * self.c
-        t = _mul(0, *x, 0, *y, c, L)[0] - _canon(0, x[0] + y[0], x[1] + y[1], c, L)[0]
-        return Fraction(t % L, L)
-
     def mul(self, h1: FiniteHeisElement, h2: FiniteHeisElement) -> FiniteHeisElement:
         L = _turns_scale(self.c, h1.turns, h2.turns)
         t, r1, r2 = _mul(_numerator(h1.turns, L), *h1.m, _numerator(h2.turns, L), *h2.m,
@@ -402,12 +396,6 @@ class FiniteHeisenberg:
 
     def inverse(self, h: FiniteHeisElement) -> FiniteHeisElement:
         return self.element(-h.turns, -h.m[0], -h.m[1])
-
-    def act_basis(self, h: FiniteHeisElement, k: int) -> tuple[Fraction, int]:
-        """Exact action on a basis delta: U delta_k = e(turns) * delta_index."""
-        L = _turns_scale(self.c, h.turns)
-        t, n = _act(_numerator(h.turns, L), *h.m, k, self.c, L)
-        return Fraction(t, L), n
 
     def act(self, h: FiniteHeisElement, phi: FiniteVector) -> FiniteVector:
         """(U phi)[n] = lam * e((n*m2 + m1*m2/2)/c) * phi[n + m1]."""

@@ -116,20 +116,12 @@ class QuadIrr:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("value is irrational")
-        return Fraction(self.p, self.r)
-
     def conjugate(self) -> "QuadIrr":
         """Galois conjugate (p - q*sqrt(D))/r."""
         return QuadIrr(self.p, -self.q, self.r, self.D)
 
     def norm(self) -> Fraction:
         return Fraction(self.p * self.p - self.q * self.q * self.D, self.r * self.r)
-
-    def trace_rat(self) -> Fraction:
-        return Fraction(2 * self.p, self.r)
 
     def minimal_polynomial(self) -> tuple[int, int, int]:
         """Primitive (A, B, C), A > 0, with A*x^2 + B*x + C = 0 at this value."""
@@ -442,18 +434,6 @@ def cf_expand(t: QuadIrr) -> tuple[list[int], list[int]]:
     return quotients, quotients[seen[x]:]
 
 
-def convergents(quotients: list[int]) -> list[Fraction]:
-    out = []
-    h0, h1 = 1, quotients[0]
-    k0, k1 = 0, 1
-    out.append(Fraction(h1, k1))
-    for a in quotients[1:]:
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        out.append(Fraction(h1, k1))
-    return out
-
-
 def fixing_matrix(t: QuadIrr, max_trace: int = 10**7) -> SL2Matrix:
     """Minimal-trace g in SL2(Z) with g*t = t, c > 0 and c*t + d > 0.
 
@@ -554,14 +534,6 @@ def multiplier_ring(theta: QuadIrr):
         return in_theta_lattice(alpha, theta) and in_theta_lattice(alpha * theta, theta)
 
     return f, is_multiplier
-
-
-def ring_generator(D: int) -> QuadIrr:
-    """Standard generator omega of the maximal order: (1+sqrt(D))/2 or sqrt(D)."""
-    _, m = _squarefree_split(D)
-    if m % 4 == 1:
-        return QuadIrr(1, 1, 2, m)
-    return QuadIrr(0, 1, 1, m)
 
 
 class RMData:

@@ -188,9 +188,6 @@ class TorusElement:
         # round differently, and the sum runs in key order
         return sum(np.hypot(self.vals.real, self.vals.imag).tolist())
 
-    def distance(self, other) -> float:
-        return (self - other).norm1()
-
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented

@@ -407,7 +407,7 @@ def _key_paths(x, prefix=""):
 
 README_RING_PATHS = {
     "command", "config.assoc_triples", "config.g", "config.max_degree", "config.seed",
-    "config.tau", "config.theta", "config.theta_diagnostic", "report.assoc_residual",
+    "config.tau", "config.theta", "report.assoc_residual",
     "report.dims[]", "report.g[][]", "report.generation[]", "report.generation_detail[].rank",
     "report.generation_detail[].residual", "report.generation_detail[].source[]",
     "report.generation_detail[].surjective", "report.generation_detail[].target_dim",
@@ -440,7 +440,7 @@ def test_ring_has_no_tol_option(capsys):
     assert exc.value.code == 2
 
 
-def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
+def test_ring_builds_each_tensor_once(capsys, monkeypatch):
     built = []
     build = coord_ring.structure_tensor
 
@@ -450,28 +450,31 @@ def test_theta_diagnostic_reuses_the_report_tensor(capsys, monkeypatch):
 
     monkeypatch.setattr(coord_ring, "structure_tensor", counting)
     code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
-                        "--assoc-triples", "1", "--theta-diagnostic")
+                        "--assoc-triples", "1")
     assert code == 0
+    # generation, associativity and quadraticity all read these three, once each
     assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
-    assert _report(out)[0]["theta_diagnostic"]
+    assert _report(out)[0]["quadratic"] is True
 
 
-@pytest.mark.parametrize("value", ["false", 0, 1, None, False, True])
-def test_config_theta_diagnostic_is_a_json_bool(tmp_path, capsys, value):
-    # "false" is a truthy string, so only a JSON true or false is accepted
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta_diagnostic": value}))
-    code, out, err = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
-                          "--max-degree", "1", "--config", str(cfg))
-    if isinstance(value, bool):
-        assert code == 0
-        rep, payload = _report(out)
-        assert payload["config"]["theta_diagnostic"] is value
-        assert ("theta_diagnostic" in rep) is value
+@pytest.mark.parametrize("value", ["flag", "false", 0, 1, None, False, True])
+def test_theta_diagnostic_is_an_input_error(tmp_path, capsys, value):
+    # there is no theta diagnostic: every entry is theta at its own label, so
+    # the flag is unknown to argparse and the config key (any value) unknown
+    argv = ["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]", "--max-degree", "1"]
+    if value == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--theta-diagnostic"])
+        code, (out, err) = exc.value.code, capsys.readouterr()
+        assert "unrecognized arguments: --theta-diagnostic" in err
     else:
-        assert code == 2
-        assert out == ""
-        assert "--theta-diagnostic" in err and "Traceback" not in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta_diagnostic": value}))
+        code, out, err = _run(capsys, *argv, "--config", str(cfg))
+        assert "unknown config key(s) 'theta_diagnostic'" in err
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def _fail(*args, **kwargs):
@@ -523,8 +526,8 @@ def test_ring_wrong_matrix_for_theta(capsys):
 _MORE_REPORTS = [
     ('rmtorus ring --theta "(1+sqrt5)/2" --max-degree 3',
      lambda rep: rep["quadratic"] is None and not any(rep["generation"])),
-    ('rmtorus ring --theta "(-5+sqrt5)/10" --g "[[-1,-1],[5,4]]" --max-degree 1 --theta-diagnostic',
-     lambda rep: "theta_diagnostic" in rep),
+    ('rmtorus ring --theta "(-5+sqrt5)/10" --g "[[-1,-1],[5,4]]" --max-degree 1',
+     lambda rep: rep["generation"] == [] and rep["quadratic"] is None),
     # c_1 = 8 > 6: no finite_rep_exact key
     ('rmtorus module-check --theta "sqrt17" --degrees 1',
      lambda rep: "finite_rep_exact" not in rep["heisenberg"]),

@@ -22,7 +22,6 @@ from rmtorus.coord_ring import (
     ring_report,
     structure_tensor,
     tensor_labels,
-    theta_match_report,
 )
 from rmtorus.heis_module import balanced_product, holomorphic_element
 from rmtorus.heis_rep import FiniteVector
@@ -214,16 +213,6 @@ def test_associativity():
     assert associativity_residual(tensors, triples=5, seed=3) < 1e-8
 
 
-def test_theta_match_report_shape(t11):
-    rows = theta_match_report(t11, TAU, entries=4)
-    assert len(rows) == 4
-    for row in rows:
-        assert set(row) == {"index", "magnitude", "nearest"}
-        assert set(row["nearest"]) == {"r", "l", "value", "rel_gap"}
-        assert row["nearest"]["l"] == t11.level == 15
-        assert row["nearest"]["rel_gap"] < 1e-12
-
-
 def test_ring_report_serializable():
     rep = ring_report(TEST5, TAU, max_degree=2, assoc_triples=2, seed=0)
     assert rep["dims"] == [1, 5, 15]
@@ -289,6 +278,22 @@ def test_witness_residuals_are_at_rounding_level(name):
         assert gap <= 1e-12 * np.max(np.abs(st.tensor)), (m, n)
 
 
+@pytest.mark.parametrize("mn", [(1, 2), (2, 1)])
+def test_witness_residual_is_relative_to_the_largest_j(mn):
+    # near real tau some T[j, 0, 0] are zero to working precision (2.9e-14 of
+    # max|T| at j = 15 of T(1, 2)), so their own per-j residuals are rounding
+    # noise near 1; max_residual divides by the largest sample norm over j
+    tau = 0.3 + 1e-4j
+    st = structure_tensor(*mn, README, tau)
+    _, prep = balanced_product(holomorphic_element(README, mn[0], tau),
+                               holomorphic_element(README, mn[1], tau),
+                               tol=coord_ring._WITNESS_TOL)
+    assert len(prep["per_j_residual"]) == piece_dim(sum(mn), README)
+    assert max(prep["per_j_residual"]) > 0.1
+    assert prep["max_residual"] < 1e-12
+    assert st.max_residual < 1e-10
+
+
 def _mp_theta(num, den, level, tau):
     r = mpmath.mpf(num) / den
     m = level * mpmath.mpc(tau.real, tau.imag)
@@ -304,11 +309,13 @@ def _mp_theta(num, den, level, tau):
                               "readme-21-large-re", "sqrt2-12"])
 def test_entry_bound_covers_50_digit_values(data, tau, mn):
     st = structure_tensor(*mn, data, tau)
+    labels = tensor_labels(*mn, data)
+    _, den, level, _ = label_plan(*mn, data, tau)
     rng = np.random.default_rng(11)
     worst = 0.0
     with mpmath.workdps(50):
-        for i in rng.choice(np.flatnonzero(st.labels.ravel() >= 0), 25):
-            exact = _mp_theta(int(st.labels.flat[i]), st.denominator, st.level, tau)
+        for i in rng.choice(np.flatnonzero(labels.ravel() >= 0), 25):
+            exact = _mp_theta(int(labels.flat[i]), den, level, tau)
             worst = max(worst, float(abs(complex(st.tensor.flat[i]) - exact)))
     assert worst <= st.entry_bound
     assert st.max_residual >= st.entry_bound / np.max(np.abs(st.tensor))
@@ -320,7 +327,8 @@ def test_entry_bound_covers_50_digit_values(data, tau, mn):
                          ids=["readme-11", "readme-12", "readme-21", "readme-22", "readme-13",
                               "sqrt2-12", "sqrt2-21", "golden-12"])
 def test_labels_are_cyclic_invariant(data, mn):
-    labels, den, level = tensor_labels(*mn, data)
+    labels = tensor_labels(*mn, data)
+    step, den, level, _ = label_plan(*mn, data, TAU)
     assert np.array_equal(_shifted(labels, cyclic_shifts(*mn, data)), labels)
     # the reflection (j, k, l) -> (-j, -k, -l) is s -> -s: it negates each
     # numerator mod den and keeps the zero pattern
@@ -332,6 +340,8 @@ def test_labels_are_cyclic_invariant(data, mn):
     assert den == cN * math.lcm(cm, cn) and labels.max() < den
     assert np.count_nonzero(labels >= 0) == den
     assert level * cm * cn == cN * (den // cN) ** 2
+    # the numerators are the multiples of step that label_plan folds
+    assert np.gcd.reduce(labels[hit]) == step == math.gcd(cm, cN)
 
 
 def test_near_real_tau_report_is_generated():
@@ -354,18 +364,20 @@ def test_one_kernel_call_per_tensor_on_folded_labels(monkeypatch, mn, count):
     kernel = coord_ring.theta_partial
 
     def counting(nums, den, m, N, z=None):
-        calls.append((len(nums), den, N))
+        calls.append((len(nums), den, m, N))
         return kernel(nums, den, m, N, z)
 
     monkeypatch.setattr(coord_ring, "theta_partial", counting)
-    st = structure_tensor(*mn, README, TAU)
+    structure_tensor(*mn, README, TAU)
     assert [c[0] for c in calls] == [count]
-    # the folded batch is exactly the distinct labels, folded
-    labels = st.labels[st.labels >= 0]
-    folded = np.unique(np.minimum(labels, st.denominator - labels))
-    assert folded.size == count
+    # the folded batch is exactly the distinct labels of tensor_labels, folded
+    # over the denominator of label_plan, summed at its level and N
     step, den, level, N = label_plan(*mn, README, TAU)
-    assert (den, level, N) == (st.denominator, st.level, calls[0][2])
+    assert calls[0][1:] == (den, level * TAU, N)
+    labels = tensor_labels(*mn, README)
+    labels = labels[labels >= 0]
+    folded = np.unique(np.minimum(labels, den - labels))
+    assert folded.size == count
     assert np.array_equal(folded, np.arange(0, den // 2 + 1, step))
 
 
@@ -468,12 +480,14 @@ def test_panel_data():
 def test_tensors_vanish_off_the_heisenberg_grading(panel):
     # k = -s and l = j + s*a_n mod c_1 (tensor_labels), and c_1 | c_m, c_n, c_N
     for name, tensors in panel.items():
-        c1 = piece_dim(1, _PANEL_DATA[name])
+        data = _PANEL_DATA[name]
+        c1 = piece_dim(1, data)
         for (m, n), st in tensors.items():
-            assert st.a == _PANEL_DATA[name].power(n).a
+            assert st.a == data.power(n).a
             j, k, l = np.indices(st.tensor.shape)
             off = (j - l - st.a * k) % c1 != 0
-            assert np.all(st.tensor[off] == 0) and np.all(st.labels[off] == -1), (name, m, n)
+            labels = tensor_labels(m, n, data)
+            assert np.all(st.tensor[off] == 0) and np.all(labels[off] == -1), (name, m, n)
             # the blocks gather every entry on the grading, each once
             blocks = _graded(st, c1)
             assert blocks.shape == (c1, st.tensor.shape[0] // c1, st.tensor[0].size // c1)
