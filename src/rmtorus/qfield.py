@@ -26,6 +26,13 @@ from math import gcd, isqrt
 
 _RATIONAL_D = 2
 
+# QuadIrr.parse refuses a larger radicand: the squarefree split trial-divides
+# up to its square root, at most 10^6 divisors here (about 0.3 s)
+MAX_RADICAND = 10 ** 12
+
+# fixing_matrix's default search cap on the trace
+MAX_TRACE = 10 ** 7
+
 
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s*s*m and m squarefree."""
@@ -104,7 +111,10 @@ class QuadIrr:
             q = int(mm.group("q")) if mm.group("q") else 1
             if mm.group("sgn") == "-":
                 q = -q
-            return cls(p, q, r, int(mm.group("D")))
+            D = int(mm.group("D"))
+            if D > MAX_RADICAND:
+                raise ValueError(f"radicand {D} is above the limit of 10^12")
+            return cls(p, q, r, D)
         mm = re.fullmatch(r"[+-]?\d+", body)
         if mm:
             return cls(int(body), 0, r, _RATIONAL_D)
@@ -434,7 +444,7 @@ def cf_expand(t: QuadIrr) -> tuple[list[int], list[int]]:
     return quotients, quotients[seen[x]:]
 
 
-def fixing_matrix(t: QuadIrr, max_trace: int = 10**7) -> SL2Matrix:
+def fixing_matrix(t: QuadIrr, max_trace: int = MAX_TRACE) -> SL2Matrix:
     """Minimal-trace g in SL2(Z) with g*t = t, c > 0 and c*t + d > 0.
 
     g fixes t exactly when (c, d - a, -b) = k*(A, B, C) for the primitive

@@ -85,7 +85,7 @@ def test_criterion_02_rank_lattice():
 def test_criterion_03_algebra_suite():
     t0 = time.perf_counter()
     report = cli._cmd_algebra({
-        "theta": "(-5+sqrt5)/10", "count": 100, "support": 20,
+        "theta": QuadIrr.parse("(-5+sqrt5)/10"), "count": 100, "support": 20,
         "seed": 0, "tol": 1e-12,
     })
     elapsed = time.perf_counter() - t0

@@ -14,9 +14,15 @@ from rmtorus.torus_alg import TorusElement
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
 
 
+def _not_json(token):
+    raise ValueError(f"stdout holds {token}, which is not JSON")
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out:
+        json.loads(captured.out, parse_constant=_not_json)
     return code, captured.out, captured.err
 
 
@@ -31,7 +37,7 @@ def test_parse_complex_grammar():
     assert parse_complex("0.3+1.1i") == 0.3 + 1.1j
     assert parse_complex("-2+0.5i") == -2 + 0.5j
     assert parse_complex("1e-2-3e1i") == 0.01 - 30j
-    for bad in ["1+2j", "i", "0.3", "0.3 + 1.1i", "1.1i"]:
+    for bad in ["1+2j", "i", "0.3", "0.3 + 1.1i", "1.1i", "1e400+1i", "0.3-1e309i"]:
         with pytest.raises(cli.InputError):
             parse_complex(bad)
 
@@ -157,6 +163,112 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, config):
     assert out == ""
     assert "--tol" in err
     assert "Traceback" not in err
+
+
+# one valid command line per subcommand, and one malformed value per option;
+# each value passes the flag's argparse type, so the option's own check refuses it
+_VALID = {
+    "fix": {"theta": "sqrt2"},
+    "algebra": {"theta": "sqrt2", "count": "1", "support": "1"},
+    "module-check": {"theta": "(-5+sqrt5)/10", "degrees": "1"},
+    "theta": {"r": "1/3", "m": "0+2i"},
+    "ring": {"theta": "(-5+sqrt5)/10", "g": "[[-1,-1],[5,4]]", "max_degree": "1"},
+}
+_MALFORMED = {
+    "theta": "sqrt", "g": "[[1,1],[1,1]]", "tau": "0.3-1i", "degrees": "1,0", "tol": "nan",
+    "count": "0", "support": "0", "seed": "-1", "max_trace": "0", "r": "1/x", "m": "1+0i",
+    "z": "0.1+2j", "max_degree": "0", "assoc_triples": "-1",
+}
+
+
+@pytest.mark.parametrize("sub, name, where", [
+    (sub, name, where) for sub, command in cli._COMMANDS.items()
+    for name, opt in command.options.items()
+    for where in (("flag", "config") if opt.type else ("config",))])
+def test_every_malformed_option_exits_2(tmp_path, capsys, sub, name, where):
+    # generated from the option table: a malformed value exits 2 before any
+    # work, from a flag or from a config file alike
+    valid = {k: v for k, v in _VALID[sub].items() if k != name}
+    argv = [sub] + [f"--{k.replace('_', '-')}={v}" for k, v in valid.items()]
+    if where == "flag":
+        argv.append(f"--{name.replace('_', '-')}={_MALFORMED[name]}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: _MALFORMED[name]}))
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_options_are_checked_before_any_work(capsys, monkeypatch):
+    # the fixing-matrix search of sqrt61 takes over a second and then fails;
+    # the bad degree is refused first
+    def no_search(*args, **kwargs):
+        raise AssertionError("fixing matrix searched")
+
+    monkeypatch.setattr(cli, "fixing_matrix", no_search)
+    code, out, err = _run(capsys, "ring", "--theta", "sqrt61", "--max-degree", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-degree must be an integer >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["theta", "--r", "1/3", "--m=0.3+1e400i"], None),
+    (["theta", "--r", "1/3", "--m", "0+2i", "--z=1e400+0i"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--tau=0.3+1e400i", "--degrees", "1"], None),
+    (["module-check", "--theta", "(-5+sqrt5)/10", "--tau=1e400+1i", "--degrees", "1"], None),
+    (["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]"], {"tau": "-1e999+1i"}),
+    (["theta", "--r", "1/3"], {"m": "0.3+1e400i"}),
+], ids=["m", "z", "im-tau", "re-tau", "ring-config-tau", "config-m"])
+def test_non_finite_complex_exits_2(tmp_path, capsys, argv, config):
+    # float() reads 1e400 as inf: no report may carry it, and tau = inf+1i
+    # used to end in a traceback
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "is beyond the double range" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau, message", [
+    ("3e306+1i", "module residual nan exceeds tolerance 1.0e-12"),
+    ("1e307+1i", "module residuals cannot be evaluated at tau = (1e+307+1j): math domain error"),
+], ids=["nan", "domain-error"])
+def test_module_check_at_huge_tau_exits_3(capsys, tau, message):
+    # the residuals overflow to NaN, which max() and a "worst > tol" gate let
+    # through as a pass, or their evaluation raises a math domain error
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
+                          "--degrees", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+def test_algebra_nan_residual_exits_3(capsys, monkeypatch):
+    # a NaN after the first sample used to vanish in max(res, nan)
+    trace = TorusElement.trace
+    calls = []
+
+    def nan_on_the_second_call(self):
+        calls.append(1)
+        return complex("nan") if len(calls) == 2 else trace(self)
+
+    monkeypatch.setattr(TorusElement, "trace", nan_on_the_second_call)
+    code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "2", "--support", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: algebra residual nan exceeds tolerance 1.0e-12\n"
+
+
+def test_large_radicand_is_refused_up_front(capsys):
+    # trial division of a 15-digit radicand took 3 s before the search
+    code, out, err = _run(capsys, "fix", "--theta", "sqrt100000000000031", "--max-trace", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot parse theta 'sqrt100000000000031': radicand "
+                   "100000000000031 is above the limit of 10^12\n")
 
 
 # -- determinism and output --------------------------------------------------------
@@ -541,7 +653,7 @@ def test_readme_commands_exit_0(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
              for line in block.splitlines() if line.strip().startswith("rmtorus ")]
-    assert {line.split()[1] for line in lines} == set(cli._RUNNERS)
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
     for line, reached in [(line, lambda rep: True) for line in lines] + _MORE_REPORTS:
         code, out, err = _run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)

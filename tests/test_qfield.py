@@ -43,6 +43,14 @@ def test_parse_round_trip():
         assert QuadIrr.parse(str(t)) == t
 
 
+def test_parse_refuses_a_radicand_above_the_limit():
+    # the squarefree split trial-divides up to sqrt(D): at most 10^6 divisors
+    assert QuadIrr.parse(f"sqrt{10 ** 12}") == 10 ** 6
+    for text in (f"sqrt{10 ** 12 + 1}", f"(1+sqrt{10 ** 39 + 7})/2"):
+        with pytest.raises(ValueError, match=r"above the limit of 10\^12"):
+            QuadIrr.parse(text)
+
+
 def test_canonicalization_removes_square_factors():
     # sqrt8 = 2*sqrt2, and the gcd of (p, q, r) is cleared
     t = QuadIrr(0, 1, 1, 8)
