@@ -293,6 +293,7 @@ def _cmd_module_check(o: dict) -> dict:
 
 
 def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
+    """Residuals per degree and of the Heisenberg groups; max_residual is NaN if one is."""
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
     worst = 0.0

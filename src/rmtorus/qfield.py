@@ -26,12 +26,10 @@ from math import gcd, isqrt
 
 _RATIONAL_D = 2
 
-# QuadIrr.parse refuses a larger radicand: the squarefree split trial-divides
-# up to its square root, at most 10^6 divisors here (about 0.3 s)
+# QuadIrr.parse refuses a larger radicand: its squarefree split trial-divides
+# up to the square root, here at most 10^6 divisors (about 0.3 s)
 MAX_RADICAND = 10 ** 12
-
-# fixing_matrix's default search cap on the trace
-MAX_TRACE = 10 ** 7
+MAX_TRACE = 10 ** 7  # fixing_matrix's default cap on the trace
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
