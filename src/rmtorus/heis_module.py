@@ -22,7 +22,9 @@ and the left action to
 
 with e(z) = exp(2*pi*i*z).  Monomials U^n V^m act on the right by applying U
 n times then V m times (xi.(ab) = (xi.a).b fixes all other compositions), and
-on the left by applying V m times then U n times.
+on the left by applying V m times then U n times.  As every operator moves
+atoms exactly in their parameters, the two sides of each relation that
+module_residuals checks are finite sums of atoms, compared on coefficients.
 
 The balanced product E_{g^m} (x)_{A_theta} E_{g^n} -> E_{g^{m+n}} is realized
 by averaging a plain tensor over the relation group generated by
@@ -131,35 +133,6 @@ class ModuleElement:
     def map_schwartz(self, op) -> "ModuleElement":
         return ModuleElement(self.data, self.degree, [(op(s), f) for s, f in self.terms])
 
-    def collect(self) -> "ModuleElement":
-        """Merge terms whose finite factors agree exactly."""
-        order: list[tuple[complex, ...]] = []
-        groups: dict[tuple[complex, ...], SchwartzVector] = {}
-        for s, f in self.terms:
-            key = f.entries
-            if key in groups:
-                groups[key] = groups[key] + s
-            else:
-                groups[key] = s
-                order.append(key)
-        terms = [(groups[k], FiniteVector(k)) for k in order if not groups[k].is_zero()]
-        return ModuleElement(self.data, self.degree, terms)
-
-    def sample(self, xs) -> np.ndarray:
-        """Array of shape (c_n, len(xs)), row k = values at (xs, [k])."""
-        xs = np.asarray(xs, dtype=float)
-        c = self.consts.c
-        out = np.zeros((c, xs.size), dtype=complex)
-        for s, f in self.terms:
-            out += np.outer(f.entries, s.eval(xs))
-        return out
-
-    def sup_distance(self, other: "ModuleElement", xs) -> float:
-        return float(np.max(np.abs(self.sample(xs) - other.sample(xs))))
-
-    def sup_norm(self, xs) -> float:
-        return float(np.max(np.abs(self.sample(xs))))
-
     def __repr__(self):
         return f"ModuleElement(degree={self.degree}, c={self.consts.c}, {len(self.terms)} terms)"
 
@@ -241,8 +214,8 @@ def connection(i: int, xi: ModuleElement) -> ModuleElement:
 
 
 def curvature(xi: ModuleElement) -> ModuleElement:
-    """[nabla_1, nabla_2] xi; equals -(2*pi*i/eps_n) xi exactly on atoms."""
-    return (connection(1, connection(2, xi)) - connection(2, connection(1, xi))).collect()
+    """[nabla_1, nabla_2] xi; its coefficients equal those of -(2*pi*i/eps_n) xi exactly."""
+    return connection(1, connection(2, xi)) - connection(2, connection(1, xi))
 
 
 def curvature_scalar(data: RMData, degree: int) -> complex:
@@ -380,18 +353,17 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 
     pn = 1.0 / (cn * eps_n)
     basis_keys = sorted(cols.keys(), key=lambda ab: (ab[0].real, ab[0].imag, ab[1].real, ab[1].imag))
-    col_index = [(alpha, beta, p) for alpha, beta in basis_keys
-                 for p in range(cols[(alpha, beta)] + 1)]
-    B = np.empty((points, len(col_index)), dtype=complex)
-    for idx, (alpha, beta, p) in enumerate(col_index):
-        B[:, idx] = us ** p * np.exp(_TWO_PI_I * (alpha * us ** 2 + beta * us))
+    # one basis column per atom x^p * e(alpha*x^2 + beta*x), sampled on the grid
+    columns = [GaussianAtom((0,) * p + (1,), alpha, beta) for alpha, beta in basis_keys
+               for p in range(cols[(alpha, beta)] + 1)]
+    B = np.column_stack([at.value(us) for at in columns])
     # one SVD gives the condition number and the least-squares solve
     U, sv, Vh = np.linalg.svd(B, full_matrices=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     report: dict = {
         "grid_points": points,
         "grid_halfwidth": halfwidth,
-        "columns": len(col_index),
+        "columns": len(columns),
         "cond": cond,
         "truncation_radius": radius,
         "per_j_residual": [],
@@ -449,9 +421,8 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     # precision reads near 1 in per_j_residual, but is only rounding noise
     report["max_residual"] = float(rn.max() / max(hn.max(), 1e-300))
     # one term per basis column: the column's atom times its coefficients over j
-    out_terms = [(SchwartzVector.of(GaussianAtom((0,) * p + (1,), alpha, beta)),
-                  FiniteVector(row.tolist()))
-                 for (alpha, beta, p), row in zip(col_index, coef) if np.any(row)]
+    out_terms = [(SchwartzVector.of(at), FiniteVector(row.tolist()))
+                 for at, row in zip(columns, coef) if np.any(row)]
     report["s_terms"] = s_terms_max
     return ModuleElement(data, N, out_terms), report
 
@@ -459,48 +430,49 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 # -- relation diagnostics ------------------------------------------------------
 
 
-def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j, xs=None) -> dict:
-    """Named sup-norm residuals of the bimodule relations on a probe vector."""
+def relative_distance(p: ModuleElement, q: ModuleElement) -> float:
+    """max|P - Q| / max|P|, where P maps each (alpha, beta, k) to the coefficient
+    of x^k * e(alpha*x^2 + beta*x) in p times its finite vector, summed over the
+    terms and atoms of p with that key, and Q does the same for q.  NaN or inf if
+    a coefficient overflowed; ValueError if P is 0, as when p's atoms underflowed."""
+    P, Q = {}, {}
+    # an overflow ends as NaN in the result, not as a warning
+    with np.errstate(all="ignore"):
+        for out, xi in ((P, p), (Q, q)):
+            for s, f in xi.terms:
+                phi = np.array(f.entries)
+                for at in s.atoms:
+                    for k, z in enumerate(at.poly):
+                        out[at.alpha, at.beta, k] = out.get((at.alpha, at.beta, k), 0) + z * phi
+        top = np.abs(list(P.values())).max(initial=0.0)
+        gap = np.abs([P.get(k, 0) - Q.get(k, 0) for k in P.keys() | Q.keys()]).max(initial=0.0)
+        if top == 0:
+            raise ValueError("the probe has no atoms left to compare")
+        return float(gap / top)
+
+
+def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j) -> dict:
+    """Named residuals of the bimodule relations on a probe vector: each the largest
+    relative_distance of a relation's two sides over its cases, NaN if one is."""
     from .qfield import unit_phase
 
-    if xs is None:
-        xs = np.linspace(-6.0, 6.0, 61)
     c = data.power(degree).c
     probe = holomorphic_element(data, degree, tau,
                                 weights=FiniteVector([1.0 + 0.0j] * c))
     eth = unit_phase(data.theta)
-
-    def dist(p, q):
-        return p.sup_distance(q, xs) / max(p.sup_norm(xs), 1e-300)
-
-    uv = right_act("V", right_act("U", probe))
-    vu = right_act("U", right_act("V", probe))
-    right_rel = dist(uv, vu.scaled(eth))
-
-    luv = left_act("U", left_act("V", probe))
-    lvu = left_act("V", left_act("U", probe))
-    left_rel = dist(luv, lvu.scaled(eth))
-
-    bimod = max(
-        dist(left_act(a, right_act(b, probe)), right_act(b, left_act(a, probe)))
-        for a in ("U", "V")
-        for b in ("U", "V")
-    )
-
-    # Leibniz: nabla_1 pairs with delta_1 (2*pi*i on U), nabla_2 with delta_2
-    lhs1 = connection(1, right_act("U", probe))
-    rhs1 = right_act("U", connection(1, probe)) + right_act("U", probe).scaled(_TWO_PI_I)
-    lhs2 = connection(2, right_act("V", probe))
-    rhs2 = right_act("V", connection(2, probe)) + right_act("V", probe).scaled(_TWO_PI_I)
-    leib = max(dist(lhs1, rhs1), dist(lhs2, rhs2))
-
-    curv = dist(curvature(probe), probe.scaled(curvature_scalar(data, degree)))
-
-    return {
-        "degree": degree,
-        "right_relation": right_rel,
-        "left_relation": left_rel,
-        "bimodule_commutation": bimod,
-        "leibniz": leib,
-        "curvature": curv,
+    u, v = right_act("U", probe), right_act("V", probe)
+    sides = {
+        "right_relation": [(right_act("V", u), right_act("U", v).scaled(eth))],
+        "left_relation": [(left_act("U", left_act("V", probe)),
+                           left_act("V", left_act("U", probe)).scaled(eth))],
+        "bimodule_commutation": [(left_act(a, right_act(b, probe)),
+                                  right_act(b, left_act(a, probe)))
+                                 for a in ("U", "V") for b in ("U", "V")],
+        # Leibniz: nabla_1 pairs with delta_1 (2*pi*i on U), nabla_2 with delta_2
+        "leibniz": [(connection(1, u), right_act("U", connection(1, probe)) + u.scaled(_TWO_PI_I)),
+                    (connection(2, v), right_act("V", connection(2, probe)) + v.scaled(_TWO_PI_I))],
+        "curvature": [(curvature(probe), probe.scaled(curvature_scalar(data, degree)))],
     }
+    res = {name: float(np.max([relative_distance(a, b) for a, b in pairs]))
+           for name, pairs in sides.items()}
+    return {"degree": degree, **res}

@@ -73,8 +73,12 @@ class GaussianAtom:
         return all(c == 0 for c in self.poly)
 
     def value(self, x):
-        p = np.polynomial.polynomial.polyval(x, np.asarray(self.poly))
-        return p * np.exp(_TWO_PI_I * (self.alpha * np.asarray(x) ** 2 + self.beta * np.asarray(x)))
+        # Horner, not np.polynomial: importing it costs degree-0-only runs 0.7 MB
+        x = np.asarray(x)
+        p = self.poly[-1]
+        for c in self.poly[-2::-1]:
+            p = p * x + c
+        return p * np.exp(_TWO_PI_I * (self.alpha * x ** 2 + self.beta * x))
 
     def scaled(self, z) -> "GaussianAtom":
         return GaussianAtom(tuple(z * c for c in self.poly), self.alpha, self.beta)
@@ -199,11 +203,6 @@ class SchwartzVector:
 
     def derivative(self) -> "SchwartzVector":
         return self.map_atoms(lambda a: a.derivative())
-
-    def eval(self, x):
-        if not self.atoms:
-            return np.zeros_like(np.asarray(x, dtype=complex))
-        return sum(a.value(x) for a in self.atoms)
 
     @staticmethod
     def _atom_key(a: GaussianAtom):
@@ -498,3 +497,31 @@ def holomorphic_residual(tau: complex, f: SchwartzVector, eps: float) -> Schwart
     """
     return SchwartzVector(at._linear_derivative(_TWO_PI_I * ((at.alpha + at.alpha) - tau / eps))
                           for at in f.atoms)
+
+
+def l2_distance(p: SchwartzVector, q: SchwartzVector) -> float:
+    """||p - q|| / ||p|| in L^2(R) for one degree-0 atom on each side, of one alpha.
+
+    With p = a*e(alpha*x^2 + beta*x) and q/p = exp(L(x)), L(x) = log(b/a) + i*k*x,
+    x is Gaussian under the weight |p|^2; there Re L has mean m and variance v,
+    Im L has variance u, and E[exp(L)] has argument w.  So ||p - q||^2/||p||^2 =
+    E|expm1(L)|^2 = expm1(m + v/2)^2 + e^(2m + v)*expm1(v) + 2*e^(m + v/2)*
+    (-expm1(-u/2) + 2*e^(-u/2)*sin(w/2)^2), a sum of non-negative parts.
+    """
+    if not (len(p.atoms) == len(q.atoms) == 1 and p.atoms[0].degree == q.atoms[0].degree == 0
+            and p.atoms[0].alpha == q.atoms[0].alpha):
+        raise ValueError("the closed form needs one degree-0 atom of one alpha on each side")
+    (ap,), (aq,) = p.atoms, q.atoms
+    rho = (aq.poly[0] - ap.poly[0]) / ap.poly[0]              # b/a - 1
+    k = 2.0 * math.pi * (aq.beta - ap.beta)
+    var = 1.0 / (8.0 * math.pi * ap.alpha.imag)               # of x under |p|^2
+    mu = -ap.beta.imag / (2.0 * ap.alpha.imag)
+    # products, not **: a huge gap gives inf, not OverflowError
+    v = var * k.imag * k.imag
+    u = var * k.real * k.real
+    log_r = 0.5 * math.log1p(rho.real * (2.0 + rho.real) + rho.imag * rho.imag)  # log|b/a|
+    half = log_r - k.imag * mu + v / 2                        # m + v/2
+    w = math.atan2(rho.imag, 1.0 + rho.real) + k.real * mu - var * k.real * k.imag
+    phase = -math.expm1(-u / 2) + 2.0 * math.exp(-u / 2) * math.sin(w / 2) ** 2
+    return math.sqrt(math.expm1(half) ** 2 + math.exp(2 * half) * math.expm1(v)
+                     + 2.0 * math.exp(half) * phase)

@@ -25,6 +25,7 @@ from rmtorus.heis_module import (
     curvature_scalar,
     holomorphic_element,
     module_residuals,
+    relative_distance,
     right_act,
 )
 from rmtorus.heis_rep import (
@@ -37,6 +38,8 @@ from rmtorus.heis_rep import (
 )
 from rmtorus.qfield import QuadIrr, RMData, SL2Matrix, fixes, fixing_matrix, rank_value
 from rmtorus.theta import tail_bound, theta_const, theta_partial
+
+from pointwise import values
 
 THETAS = [
     QuadIrr.parse("(1+sqrt5)/2"),
@@ -115,8 +118,8 @@ def test_criterion_04_heisenberg_representation():
         h2 = G.element(np.exp(2j * math.pi * rng.uniform()), *rng.uniform(-1.5, 1.5, 2))
         lhs = G.act(h1, G.act(h2, f))
         rhs = G.act(G.mul(h1, h2), f)
-        scale = max(1.0, float(np.max(np.abs(rhs.eval(xs)))))
-        worst = max(worst, float(np.max(np.abs(lhs.eval(xs) - rhs.eval(xs)))) / scale)
+        scale = max(1.0, float(np.max(np.abs(values(rhs, xs)))))
+        worst = max(worst, float(np.max(np.abs(values(lhs, xs) - values(rhs, xs)))) / scale)
     real_ok = worst < 1e-12
 
     finite_ok = all(FiniteHeisenberg(c).representation_exact(Fraction(1, 3), Fraction(2, 7))
@@ -161,8 +164,8 @@ def test_criterion_07_connection():
             res = module_residuals(data, degree, TAU)
             worst = max(worst, res["leibniz"])
             xi = holomorphic_element(data, degree, TAU)
-            diff = (curvature(xi) - xi.scaled(curvature_scalar(data, degree))).collect()
-            exact = exact and diff.terms == ()
+            want = xi.scaled(curvature_scalar(data, degree))
+            exact = exact and relative_distance(curvature(xi), want) == 0.0
     ok = worst < 1e-12 and exact
     _verdict(7, "connection Leibniz and exact curvature -(2 pi i/eps) id", ok,
              f"leibniz {worst:.2e}, curvature exact={exact}")

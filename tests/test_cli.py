@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -234,18 +235,31 @@ def test_non_finite_complex_exits_2(tmp_path, capsys, argv, config):
     assert "is beyond the double range" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tau, message", [
     ("3e306+1i", "module residual nan exceeds tolerance 1.0e-12"),
     ("1e307+1i", "module residuals cannot be evaluated at tau = (1e+307+1j): math domain error"),
 ], ids=["nan", "domain-error"])
 def test_module_check_at_huge_tau_exits_3(capsys, tau, message):
-    # the residuals overflow to NaN, which max() and a "worst > tol" gate let
-    # through as a pass, or their evaluation raises a math domain error
-    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
-                          "--degrees", "1")
+    # the curvature's coefficients overflow to NaN, which max() and a "worst >
+    # tol" gate let through as a pass, or an atom's translation raises a math
+    # domain error; no numpy warning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
+                              "--degrees", "1")
     assert (code, out) == (3, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("degrees", ["1", "2"])
+def test_module_check_refuses_a_vanished_probe(capsys, degrees):
+    # at Im tau = 1e300 every translated atom underflows to 0: compared on
+    # samples, both sides were 0 and every residual read 0.0
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10",
+                          "--tau=0.3+1e300i", "--degrees", degrees)
+    assert (code, out) == (3, "")
+    assert err == ("error: module residuals cannot be evaluated at tau = (0.3+1e+300j): "
+                   "the probe has no atoms left to compare\n")
 
 
 def test_algebra_nan_residual_exits_3(capsys, monkeypatch):

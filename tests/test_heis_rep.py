@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,8 +23,11 @@ from rmtorus.heis_rep import (
     cis_turns,
     holomorphic_residual,
     holomorphic_vector,
+    l2_distance,
     lie_derivative,
 )
+
+from pointwise import values
 
 
 def _sample_vector():
@@ -50,7 +54,7 @@ def test_translate_matches_pointwise():
     t = 0.37
     g = f.translate(t)
     for x in XS:
-        assert abs(g.eval(x) - f.eval(x + t)) < 1e-12
+        assert abs(values(g, x) - values(f, x + t)) < 1e-12
 
 
 def test_modulate_matches_pointwise():
@@ -58,14 +62,14 @@ def test_modulate_matches_pointwise():
     s = -1.21
     g = f.modulate(s)
     for x in XS:
-        assert abs(g.eval(x) - cmath.exp(2j * math.pi * s * x) * f.eval(x)) < 1e-12
+        assert abs(values(g, x) - cmath.exp(2j * math.pi * s * x) * values(f, x)) < 1e-12
 
 
 def test_times_x_matches_pointwise():
     f = _sample_vector()
     g = f.times_x()
     for x in XS:
-        assert abs(g.eval(x) - x * f.eval(x)) < 1e-13
+        assert abs(values(g, x) - x * values(f, x)) < 1e-13
 
 
 def test_derivative_matches_finite_difference():
@@ -73,8 +77,8 @@ def test_derivative_matches_finite_difference():
     g = f.derivative()
     h = 1e-6
     for x in XS:
-        fd = (f.eval(x + h) - f.eval(x - h)) / (2 * h)
-        assert abs(g.eval(x) - fd) < 1e-7 * (1 + abs(fd))
+        fd = (values(f, x + h) - values(f, x - h)) / (2 * h)
+        assert abs(values(g, x) - fd) < 1e-7 * (1 + abs(fd))
 
 
 def test_atom_requires_decay():
@@ -121,8 +125,51 @@ def test_real_representation_property():
         lhs = G.act(h1, G.act(h2, f))
         rhs = G.act(G.mul(h1, h2), f)
         for x in XS:
-            worst = max(worst, abs(lhs.eval(x) - rhs.eval(x)))
+            worst = max(worst, abs(values(lhs, x) - values(rhs, x)))
     assert worst < 1e-12
+
+
+def _quad_l2_distance(p, q):
+    """||p - q|| / ||p|| of two one-atom vectors by 40-digit quadrature."""
+    (ap,), (aq,) = p.atoms, q.atoms
+
+    def atom(at, x):
+        return mpmath.mpc(at.poly[0]) * mpmath.expjpi(
+            2 * (mpmath.mpc(at.alpha) * x * x + mpmath.mpc(at.beta) * x))
+
+    with mpmath.workdps(40):
+        pts = [-mpmath.inf, mpmath.mpf(-ap.beta.imag) / (2 * mpmath.mpf(ap.alpha.imag)), mpmath.inf]
+        num = mpmath.quad(lambda x: abs(atom(ap, x) - atom(aq, x)) ** 2, pts)
+        den = mpmath.quad(lambda x: abs(atom(ap, x)) ** 2, pts)
+        return mpmath.sqrt(num / den)
+
+
+@pytest.mark.parametrize("dbeta, ratio, rel, absolute", [
+    (1e-3 + 0.6e-3j, 1 + 2e-4j, 1e-10, 0.0),
+    (1e-12 - 0.7e-12j, 1.0, 0.0, 1e-15),
+    (0.0, 1 + 1e-14, 0.0, 1e-15),
+    (0.3 - 0.2j, 0.5 + 0.8j, 1e-10, 0.0),
+], ids=["dbeta-1e-3", "dbeta-1e-12", "coefficient-gap-1e-14", "far-apart"])
+def test_l2_distance_matches_quadrature(dbeta, ratio, rel, absolute):
+    # the closed form has no cancellation: a Gram expansion ||p||^2 + ||q||^2
+    # - 2 Re<p, q> would lose everything below about 1e-8 here
+    alpha, beta, a = 0.3 + 0.9j, 0.2 - 0.1j, 1.2 - 0.4j
+    p = SchwartzVector.of(GaussianAtom((a,), alpha, beta))
+    q = SchwartzVector.of(GaussianAtom((a * ratio,), alpha, beta + dbeta))
+    got, want = l2_distance(p, q), _quad_l2_distance(p, q)
+    assert abs(got - want) <= rel * want + absolute
+    assert l2_distance(p, p) == 0.0
+
+
+def test_l2_distance_needs_one_matching_atom():
+    # another alpha, a degree-1 atom, no atom, two atoms
+    p = SchwartzVector.of(GaussianAtom((1.0,), 1j))
+    for q in (SchwartzVector.of(GaussianAtom((1.0,), 2j)),
+              SchwartzVector.of(GaussianAtom((1.0, 1.0), 1j)),
+              SchwartzVector(),
+              p + SchwartzVector.of(GaussianAtom((1.0,), 1j, 0.5))):
+        with pytest.raises(ValueError):
+            l2_distance(p, q)
 
 
 def test_real_inverse():
@@ -290,7 +337,7 @@ def test_lie_bracket():
     ab = lie_derivative(lie_derivative(f, "B", eps), "A", eps)
     ba = lie_derivative(lie_derivative(f, "A", eps), "B", eps)
     want = lie_derivative(f, "C", eps).scaled(1.0 / eps)
-    worst = max(abs((ab - ba).eval(x) - want.eval(x)) for x in XS)
+    worst = max(abs(values(ab - ba, x) - values(want, x)) for x in XS)
     assert worst < 1e-12
 
 
@@ -308,7 +355,7 @@ def test_holomorphic_vector_annihilated_exactly():
 def test_holomorphic_residual_detects_mismatch():
     f = holomorphic_vector(0.3 + 1.1j, 1.0)
     res = holomorphic_residual(0.3 + 1.2j, f, 1.0)
-    assert max(abs(res.eval(x)) for x in XS) > 1e-3
+    assert max(abs(values(res, x)) for x in XS) > 1e-3
 
 
 def test_holomorphic_vector_validation():
