@@ -298,7 +298,7 @@ def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
     worst = 0.0
-    for n in degrees:
+    for n in dict.fromkeys(degrees):  # each distinct degree once, in first-seen order
         res = heis_module.module_residuals(data, n, tau)
         # holomorphic vector is annihilated atom-exactly
         eps = data.power(n).eps
@@ -312,11 +312,11 @@ def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
     c1 = data.power(1).c
     G = RealHeisenberg(float(data.epsilon))
     f = holomorphic_vector(tau, float(data.epsilon))
-    rng = np.random.default_rng(0)
     rep_real = 0.0
-    for _ in range(10):
-        h1 = G.element(cmath.exp(1j * rng.normal()), rng.normal(), rng.normal())
-        h2 = G.element(cmath.exp(1j * rng.normal()), rng.normal(), rng.normal())
+    # ten pairs of elements, each drawn as its phase, y1 and y2 in turn
+    for a1, y11, y12, a2, y21, y22 in np.random.default_rng(0).normal(size=(10, 6)).tolist():
+        h1 = G.element(cmath.exp(1j * a1), y11, y12)
+        h2 = G.element(cmath.exp(1j * a2), y21, y22)
         lhs = G.act(h1, G.act(h2, f))
         rhs = G.act(G.mul(h1, h2), f)
         rep_real = _nanmax(rep_real, l2_distance(lhs, rhs))

@@ -22,9 +22,13 @@ and the left action to
 
 with e(z) = exp(2*pi*i*z).  Monomials U^n V^m act on the right by applying U
 n times then V m times (xi.(ab) = (xi.a).b fixes all other compositions), and
-on the left by applying V m times then U n times.  As every operator moves
-atoms exactly in their parameters, the two sides of each relation that
-module_residuals checks are finite sums of atoms, compared on coefficients.
+on the left by applying V m times then U n times.  A generator's step, its
+(t, s) and the target index and phase of each finite index, is built once per
+degree of an RMData and kept with that degree's constants.  As every operator
+moves atoms exactly in their parameters, the two sides of each relation that
+module_residuals checks are finite sums of atoms, compared on coefficients;
+the first step of every relation (right and left U and V of the probe) is
+taken once and shared.
 
 The balanced product E_{g^m} (x)_{A_theta} E_{g^n} -> E_{g^{m+n}} is realized
 by averaging a plain tensor over the relation group generated by
@@ -66,7 +70,7 @@ import math
 import numpy as np
 
 from .heis_rep import (FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector,
-                       holomorphic_vector, lie_derivative)
+                       apply_step, holomorphic_vector, lie_derivative)
 from .qfield import RMData
 from .torus_alg import TorusElement
 
@@ -150,14 +154,21 @@ _GENERATORS = {
 
 
 def _apply_gen(side: str, gen: str, elem: ModuleElement) -> ModuleElement:
-    """One generator step: f (x) phi -> (translated, modulated f) (x) U_{(0, m)} phi."""
+    """One generator step: f (x) phi -> (translated, modulated f) (x) U_{(0, m)} phi.
+
+    The step (t, s, FiniteHeisenberg step of (0, m)) is built on the first use
+    of each (side, gen) at a degree and kept with that degree's constants.
+    """
     if gen not in ("U", "Uinv", "V", "Vinv"):
         raise ValueError(f"unknown generator {gen!r}")
-    t, s, (m1, m2) = _GENERATORS[side, gen[0]](elem.consts)
-    if gen.endswith("inv"):
-        t, s, m1, m2 = -t, -s, -m1, -m2
-    G = FiniteHeisenberg(elem.consts.c)
-    h = G.element(0, m1, m2)
+    k = elem.consts
+    if (side, gen) not in k.steps:
+        t, s, (m1, m2) = _GENERATORS[side, gen[0]](k)
+        if gen.endswith("inv"):
+            t, s, m1, m2 = -t, -s, -m1, -m2
+        G = FiniteHeisenberg(k.c)
+        k.steps[side, gen] = t, s, G.step(G.element(0, m1, m2))
+    t, s, step = k.steps[side, gen]
     terms = []
     for f, phi in elem.terms:
         # each generator moves only one of the two; translate(0) would still
@@ -166,7 +177,7 @@ def _apply_gen(side: str, gen: str, elem: ModuleElement) -> ModuleElement:
             f = f.translate(t)
         if s:
             f = f.modulate(s)
-        terms.append((f, G.act(h, phi)))
+        terms.append((f, apply_step(step, phi)))
     return ModuleElement(elem.data, elem.degree, terms)
 
 
@@ -460,13 +471,14 @@ def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j) -> di
     probe = holomorphic_element(data, degree, tau,
                                 weights=FiniteVector([1.0 + 0.0j] * c))
     eth = unit_phase(data.theta)
-    u, v = right_act("U", probe), right_act("V", probe)
+    # the first step of every relation, taken once
+    right = {b: right_act(b, probe) for b in ("U", "V")}
+    left = {a: left_act(a, probe) for a in ("U", "V")}
+    u, v = right["U"], right["V"]
     sides = {
         "right_relation": [(right_act("V", u), right_act("U", v).scaled(eth))],
-        "left_relation": [(left_act("U", left_act("V", probe)),
-                           left_act("V", left_act("U", probe)).scaled(eth))],
-        "bimodule_commutation": [(left_act(a, right_act(b, probe)),
-                                  right_act(b, left_act(a, probe)))
+        "left_relation": [(left_act("U", left["V"]), left_act("V", left["U"]).scaled(eth))],
+        "bimodule_commutation": [(left_act(a, right[b]), right_act(b, left[a]))
                                  for a in ("U", "V") for b in ("U", "V")],
         # Leibniz: nabla_1 pairs with delta_1 (2*pi*i on U), nabla_2 with delta_2
         "leibniz": [(connection(1, u), right_act("U", connection(1, probe)) + u.scaled(_TWO_PI_I)),

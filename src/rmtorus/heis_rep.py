@@ -53,7 +53,7 @@ class GaussianAtom:
         alpha = complex(alpha)
         if not alpha.imag > 0:
             raise ValueError("need Im(alpha) > 0 for a decaying atom")
-        poly = tuple(complex(c) for c in poly)
+        poly = tuple(map(complex, poly))
         while len(poly) > 1 and poly[-1] == 0:
             poly = poly[:-1]
         if not poly:
@@ -70,7 +70,8 @@ class GaussianAtom:
         return len(self.poly) - 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.poly)
+        # trailing zeros are trimmed, so only a zero atom ends in 0
+        return self.poly[-1] == 0
 
     def value(self, x):
         # Horner, not np.polynomial: importing it costs degree-0-only runs 0.7 MB
@@ -148,23 +149,22 @@ class SchwartzVector:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms=()):
-        merged: dict[tuple[complex, complex], list] = {}
-        for at in atoms:
-            key = (at.alpha, at.beta)
-            if key in merged:
-                cur = merged[key]
-                n = max(len(cur), len(at.poly))
-                cur.extend([0j] * (n - len(cur)))
-                for k, c in enumerate(at.poly):
-                    cur[k] += c
-            else:
-                merged[key] = list(at.poly)
-        out = []
-        for (alpha, beta), poly in merged.items():
-            at = GaussianAtom(poly, alpha, beta)
-            if not at.is_zero():
-                out.append(at)
-        object.__setattr__(self, "atoms", tuple(out))
+        atoms = tuple(atoms)
+        # the merge pass runs only when two atoms share a key
+        if len({(at.alpha, at.beta) for at in atoms}) < len(atoms):
+            merged: dict[tuple[complex, complex], list] = {}
+            for at in atoms:
+                key = (at.alpha, at.beta)
+                if key in merged:
+                    cur = merged[key]
+                    n = max(len(cur), len(at.poly))
+                    cur.extend([0j] * (n - len(cur)))
+                    for k, c in enumerate(at.poly):
+                        cur[k] += c
+                else:
+                    merged[key] = list(at.poly)
+            atoms = [GaussianAtom(poly, alpha, beta) for (alpha, beta), poly in merged.items()]
+        object.__setattr__(self, "atoms", tuple(at for at in atoms if not at.is_zero()))
 
     def __setattr__(self, *a):
         raise AttributeError("SchwartzVector is immutable")
@@ -226,7 +226,7 @@ class FiniteVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(complex(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(complex, entries)))
         if not self.entries:
             raise ValueError("modulus must be positive")
 
@@ -370,10 +370,17 @@ class RealHeisenberg:
         return HeisElement(h.lam.conjugate(), (-h.y[0], -h.y[1]))
 
     def act(self, h: HeisElement, f: SchwartzVector) -> SchwartzVector:
-        """U_{(lam,y)} f(x) = lam * e((x*y2 + y1*y2/2)/eps) * f(x + y1)."""
+        """U_{(lam,y)} f(x) = lam * e((x*y2 + y1*y2/2)/eps) * f(x + y1): each atom
+        translated, then modulated and scaled in one step, and merged once."""
         y1, y2 = h.y
         scalar = h.lam * _e(y1 * y2 / (2.0 * self.eps))
-        return f.translate(y1).modulate(y2 / self.eps).scaled(scalar)
+        s = y2 / self.eps
+
+        def move(a: GaussianAtom) -> GaussianAtom:
+            a = a.translate(y1)
+            return GaussianAtom(tuple(scalar * c for c in a.poly), a.alpha, a.beta + s)
+
+        return f.map_atoms(move)
 
 
 class FiniteHeisenberg:
@@ -396,18 +403,20 @@ class FiniteHeisenberg:
     def inverse(self, h: FiniteHeisElement) -> FiniteHeisElement:
         return self.element(-h.turns, -h.m[0], -h.m[1])
 
+    def step(self, h: FiniteHeisElement) -> tuple[list[int], list[complex]]:
+        """U_h as a target index and a phase per source index k, with U_h delta_k =
+        phase_k * delta_{target_k}; apply_step applies it."""
+        c = self.c
+        L = _turns_scale(c, h.turns)
+        t, n = _act(_numerator(h.turns, L), *h.m, np.arange(c, dtype=_index_dtype(c, L)), c, L)
+        # t/L of two ints is correctly rounded, so each phase equals cis_turns(Fraction(t, L))
+        return n.tolist(), [cmath.exp(_TWO_PI_I * (tk / L)) for tk in t.tolist()]
+
     def act(self, h: FiniteHeisElement, phi: FiniteVector) -> FiniteVector:
         """(U phi)[n] = lam * e((n*m2 + m1*m2/2)/c) * phi[n + m1]."""
         if phi.c != self.c:
             raise ValueError("vector modulus does not match the group")
-        c = self.c
-        L = _turns_scale(c, h.turns)
-        t, n = _act(_numerator(h.turns, L), *h.m, np.arange(c, dtype=_index_dtype(c, L)), c, L)
-        out = [0j] * c
-        # t/L of two ints is correctly rounded, so each phase equals cis_turns(Fraction(t, L))
-        for tk, nk, e in zip(t.tolist(), n.tolist(), phi.entries):
-            out[nk] = cmath.exp(_TWO_PI_I * (tk / L)) * e
-        return FiniteVector(out)
+        return apply_step(self.step(h), phi)
 
     def representation_exact(self, z1, z2) -> bool:
         """U_{h1} U_{h2} = U_{h1 h2} on every basis vector, for every h1 = (z1, m)
@@ -415,7 +424,8 @@ class FiniteHeisenberg:
         c = self.c
         z1, z2 = Fraction(z1), Fraction(z2)
         L = _turns_scale(c, z1, z2)
-        m1, m2, p1, p2, k = np.indices((c,) * 5).astype(_index_dtype(c, L))
+        # open grids, each c long on its own axis, which the kernel broadcasts
+        m1, m2, p1, p2, k = np.indices((c,) * 5, dtype=_index_dtype(c, L), sparse=True)
         a, b = _numerator(z1, L) % L, _numerator(z2, L) % L
         t12, q1, q2 = _mul(a, m1, m2, b, p1, p2, c, L)
         t, n = _act(t12, q1, q2, k, c, L)
@@ -460,6 +470,15 @@ class FiniteHeisenberg:
         """Exhaustive check that x -> e(x, .) has trivial kernel: the perp of the
         whole group is {(0, 0)}."""
         return self.perp({(x1, x2) for x1 in range(self.c) for x2 in range(self.c)}) == {(0, 0)}
+
+
+def apply_step(step: tuple[list[int], list[complex]], phi: FiniteVector) -> FiniteVector:
+    """phi moved by a FiniteHeisenberg.step: entry k goes to target_k, times phase_k."""
+    targets, phases = step
+    out = [0j] * len(targets)
+    for nk, pk, e in zip(targets, phases, phi.entries):
+        out[nk] = pk * e
+    return FiniteVector(out)
 
 
 def lie_derivative(f: SchwartzVector, which: str, eps: float) -> SchwartzVector:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt
@@ -582,10 +582,15 @@ class RMData:
 
 @dataclass(frozen=True)
 class ModuleConstants:
-    """Cached per-degree constants: g^n and epsilon_n = (c_n*theta + d_n)/c_n."""
+    """Cached per-degree constants: g^n and epsilon_n = (c_n*theta + d_n)/c_n.
+
+    steps holds heis_module's generator steps of this degree, each built once
+    per RMData (so per CLI call).
+    """
 
     matrix: SL2Matrix
     eps: float
+    steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def c(self) -> int:

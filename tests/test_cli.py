@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rmtorus import cli, coord_ring, heis_module
+from rmtorus import cli, coord_ring, heis_module, heis_rep
 from rmtorus.qfield import QuadIrr
 from rmtorus.torus_alg import TorusElement
 from rmtorus.cli import main, parse_complex, parse_matrix, parse_theta
@@ -451,6 +451,59 @@ def test_module_check_refuses_oversized_probe(capsys, monkeypatch, degrees, n):
     assert code == 3
     assert out == ""
     assert f"c_{n}" in err
+
+
+def test_module_check_computes_each_degree_once(capsys, monkeypatch):
+    # a repeated degree is checked once; the config echo keeps the raw text
+    seen = []
+    residuals = heis_module.module_residuals
+
+    def counted(data, degree, tau):
+        seen.append(degree)
+        return residuals(data, degree, tau)
+
+    monkeypatch.setattr(heis_module, "module_residuals", counted)
+    code, out, _ = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10",
+                        "--degrees", "2,1,2")
+    assert code == 0
+    assert seen == [2, 1]
+    rep, payload = _report(out)
+    assert sorted(rep["degrees"]) == ["1", "2"]
+    assert payload["config"]["degrees"] == "2,1,2"
+
+
+def _unfused_real_act(self, h, f):
+    """RealHeisenberg.act as three vector passes: translate, modulate, scale."""
+    y1, y2 = h.y
+    scalar = h.lam * heis_rep._e(y1 * y2 / (2.0 * self.eps))
+    return f.translate(y1).modulate(y2 / self.eps).scaled(scalar)
+
+
+def test_module_check_report_matches_reference_operators(capsys, monkeypatch):
+    # the cached generator steps, the shared first steps, the one-pass real
+    # action and the open-grid finite check against the hand-written operators
+    # of each generator, the vector-by-vector real action and the
+    # element-by-element finite check: same stdout byte for byte.  The README
+    # theta with g and then with g^2 at degree 1 run in one process, so a step
+    # kept beyond its own RMData would show
+    from test_heis_module import _reference_gen
+    from test_heis_rep import _representation_by_elements
+
+    readme = ["module-check", "--theta", "(-5+sqrt5)/10", "--tau", "0.3+1.1i"]
+    argvs = [readme + ["--degrees", "1,2,3"],
+             ["module-check", "--theta", "(3+sqrt3)/6", "--g", "[[5,-1],[6,-1]]",
+              "--degrees", "1,2,3"],
+             readme + ["--g", "[[-1,-1],[5,4]]", "--degrees", "1"],
+             readme + ["--g", "[[-4,-3],[15,11]]", "--degrees", "1"]]
+    got = [_run(capsys, *argv)[:2] for argv in argvs]
+    monkeypatch.setattr(heis_module, "_apply_gen", _reference_gen)
+    monkeypatch.setattr(heis_rep.RealHeisenberg, "act", _unfused_real_act)
+    monkeypatch.setattr(heis_rep.FiniteHeisenberg, "representation_exact",
+                        _representation_by_elements)
+    assert got == [_run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in got] == [0, 0, 0, 0]
+    # c_1 = 6: the finite representation check ran
+    assert "finite_rep_exact" in _report(got[1][1])[0]["heisenberg"]
 
 
 def test_module_check_rejects_real_tau(capsys):

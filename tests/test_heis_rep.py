@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from rmtorus import heis_rep
 from rmtorus.heis_rep import (
     FiniteHeisElement,
     FiniteHeisenberg,
@@ -247,6 +248,25 @@ def test_representation_exact_beyond_int64():
     G = FiniteHeisenberg(5)
     assert G.representation_exact(Fraction(1, 10 ** 30 + 7), Fraction(-2, 5))
     assert G.representation_exact(Fraction(10 ** 20 + 1, 3), Fraction(2, 7))
+
+
+def _flipped_cocycle_mul(t, m1, m2, s, p1, p2, c, L):
+    return heis_rep._canon(t + s - L // (2 * c) * (m1 * p2 - p1 * m2), m1 + p1, m2 + p2, c, L)
+
+
+def _unfolded_canon(t, m1, m2, c, L):
+    return t % L, m1 % c, m2 % c
+
+
+@pytest.mark.parametrize("name, broken", [("_mul", _flipped_cocycle_mul),
+                                          ("_canon", _unfolded_canon)],
+                         ids=["flipped-cocycle", "no-half-turn-fold"])
+def test_representation_exact_rejects_a_broken_kernel(monkeypatch, name, broken):
+    # the whole-group check is not vacuous: with the cocycle's sign flipped, or
+    # without the half-turn folded into the phase, it fails for every c > 1
+    monkeypatch.setattr(heis_rep, name, broken)
+    for c in range(2, 9):
+        assert not FiniteHeisenberg(c).representation_exact(Fraction(1, 3), Fraction(2, 5))
 
 
 def test_finite_mul_associative_and_inverse_exact():
