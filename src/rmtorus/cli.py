@@ -31,8 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import coord_ring, heis_module
-from .heis_rep import (FiniteHeisenberg, RealHeisenberg, holomorphic_residual, holomorphic_vector,
-                       l2_distance)
+from .heis_rep import RealHeisenberg, holomorphic_vector, l2_distance
 from .qfield import (MAX_TRACE, QuadIrr, RMData, SL2Matrix, cf_expand, fixing_matrix,
                      multiplier_ring)
 from .theta import theta_const, theta_fn
@@ -294,22 +293,18 @@ def _cmd_module_check(o: dict) -> dict:
 
 
 def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
-    """Residuals per degree and of the Heisenberg groups; max_residual is NaN if one is."""
+    """Relation residuals per degree and the real Heisenberg representation property
+    at epsilon and tau; max_residual is NaN if one is."""
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
     worst = 0.0
     for n in dict.fromkeys(degrees):  # each distinct degree once, in first-seen order
         res = heis_module.module_residuals(data, n, tau)
-        # holomorphic vector is annihilated atom-exactly
-        eps = data.power(n).eps
-        ann = holomorphic_residual(tau, holomorphic_vector(tau, eps), eps)
-        res["holomorphic_annihilation"] = 0.0 if ann.is_zero() else 1.0
         report["degrees"][str(n)] = res
         worst = _nanmax(worst, *(v for k, v in res.items() if k != "degree"))
 
-    # representation property of the underlying Heisenberg groups; both sides
-    # of the real one are one atom, compared by their relative L^2 distance
-    c1 = data.power(1).c
+    # representation property of the real Heisenberg group at epsilon; both
+    # sides are one atom, compared by their relative L^2 distance
     G = RealHeisenberg(float(data.epsilon))
     f = holomorphic_vector(tau, float(data.epsilon))
     rep_real = 0.0
@@ -322,13 +317,6 @@ def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
         rep_real = _nanmax(rep_real, l2_distance(lhs, rhs))
     report["heisenberg"] = {"real_rep_property": rep_real}
     worst = _nanmax(worst, rep_real)
-    if c1 <= 6:
-        exact = FiniteHeisenberg(c1).representation_exact(Fraction(1, 3), Fraction(2, 5))
-        report["heisenberg"]["finite_rep_exact"] = exact
-        if not exact:
-            worst = _nanmax(worst, 1.0)
-    if c1 <= 12:
-        report["heisenberg"]["pairing_nondegenerate"] = FiniteHeisenberg(c1).pairing_nondegenerate()
     report["max_residual"] = worst
     return report
 

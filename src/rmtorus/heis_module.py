@@ -345,15 +345,15 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
                                             "grid_halfwidth": 0.0, "columns": 0,
                                             "s_terms": 0}
 
-    # grid: +-4 standard deviations of the widest target Gaussian, density
-    # scaled with the output modulus so solves stay overdetermined
+    # grid: +-4 standard deviations of the widest target Gaussian, 8 points per basis
+    # column, the solve's unknowns (the c_N outputs are right-hand sides)
     min_im = min(alpha.imag for alpha, _ in cols)
     if min_im <= 0:
         raise ValueError("target atoms must decay (Im alpha_N > 0)")
     sigma = 1.0 / (2.0 * math.sqrt(math.pi * min_im))
     max_deg = max(cols.values())
     halfwidth = 4.0 * sigma * (1.0 + 0.15 * max_deg)
-    points = max(4 * cN, 48, 8 * sum(d + 1 for d in cols.values()))
+    points = max(48, 8 * sum(d + 1 for d in cols.values()))
     us = np.linspace(-halfwidth, halfwidth, points)
 
     # truncation radius: Gaussian tail of the averaging series below 1e-3*tol

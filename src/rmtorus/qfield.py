@@ -26,23 +26,26 @@ from math import gcd, isqrt
 
 _RATIONAL_D = 2
 
-# QuadIrr.parse refuses a larger radicand: its squarefree split trial-divides
-# up to the square root, here at most 10^6 divisors (about 0.3 s)
+# QuadIrr.parse refuses a larger radicand; its squarefree split then tries <= 10^4 divisors
 MAX_RADICAND = 10 ** 12
 MAX_TRACE = 10 ** 7  # fixing_matrix's default cap on the trace
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s*s*m and m squarefree."""
+    """Return (s, m) with n = s*s*m and m squarefree: strip each d with d^3 <= n;
+    what is left is 1, p, p^2 or p*q, told apart by one isqrt."""
     if n <= 0:
         raise ValueError("radicand must be positive")
-    s, m, d = 1, n, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
+    s, m, d = 1, 1, 2
+    while d * d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
             s *= d
+        if n % d == 0:
+            n, m = n // d, m * d
         d += 1
-    return s, m
+    r = isqrt(n)
+    return (s * r, m) if r * r == n else (s, m * n)
 
 
 @total_ordering

@@ -430,11 +430,31 @@ def test_module_check_passes(capsys):
     rep, _ = _report(out)
     deg = rep["degrees"]["1"]
     for key in ("right_relation", "left_relation", "bimodule_commutation",
-                "leibniz", "curvature", "holomorphic_annihilation"):
+                "leibniz", "curvature"):
         assert deg[key] < 1e-12
-    assert rep["heisenberg"]["finite_rep_exact"] is True
-    assert rep["heisenberg"]["pairing_nondegenerate"] is True
     assert rep["max_residual"] < 1e-12
+
+
+# one report shape for every c_1: README data (c_1 = 5), (3+sqrt3)/6 with its
+# g (6), sqrt17 (8) and sqrt19 (39); the finite Heisenberg groups and f_tau's
+# annihilation hold for every input, so only the real representation property
+# is reported
+_MODULE_KEYS = {"degree", "right_relation", "left_relation", "bimodule_commutation",
+                "leibniz", "curvature"}
+
+
+@pytest.mark.parametrize("argv, c1", [
+    (["--theta", "(-5+sqrt5)/10"], 5),
+    (["--theta", "(3+sqrt3)/6", "--g", "[[5,-1],[6,-1]]"], 6),
+    (["--theta", "sqrt17"], 8),
+    (["--theta", "sqrt19"], 39)], ids=["c5", "c6", "c8", "c39"])
+def test_module_check_report_keys_do_not_depend_on_c1(capsys, argv, c1):
+    code, out, err = _run(capsys, "module-check", *argv, "--degrees", "1")
+    assert code == 0, err
+    rep, _ = _report(out)
+    assert rep["g"][1][0] == c1
+    assert set(rep["degrees"]["1"]) == _MODULE_KEYS
+    assert set(rep["heisenberg"]) == {"real_rep_property"}
 
 
 @pytest.mark.parametrize("degrees, n", [("1,40", 40), ("1000000000", 1000000000)])
@@ -480,14 +500,12 @@ def _unfused_real_act(self, h, f):
 
 
 def test_module_check_report_matches_reference_operators(capsys, monkeypatch):
-    # the cached generator steps, the shared first steps, the one-pass real
-    # action and the open-grid finite check against the hand-written operators
-    # of each generator, the vector-by-vector real action and the
-    # element-by-element finite check: same stdout byte for byte.  The README
+    # the cached generator steps, the shared first steps and the one-pass real
+    # action against the hand-written operators of each generator and the
+    # vector-by-vector real action: same stdout byte for byte.  The README
     # theta with g and then with g^2 at degree 1 run in one process, so a step
     # kept beyond its own RMData would show
     from test_heis_module import _reference_gen
-    from test_heis_rep import _representation_by_elements
 
     readme = ["module-check", "--theta", "(-5+sqrt5)/10", "--tau", "0.3+1.1i"]
     argvs = [readme + ["--degrees", "1,2,3"],
@@ -498,12 +516,8 @@ def test_module_check_report_matches_reference_operators(capsys, monkeypatch):
     got = [_run(capsys, *argv)[:2] for argv in argvs]
     monkeypatch.setattr(heis_module, "_apply_gen", _reference_gen)
     monkeypatch.setattr(heis_rep.RealHeisenberg, "act", _unfused_real_act)
-    monkeypatch.setattr(heis_rep.FiniteHeisenberg, "representation_exact",
-                        _representation_by_elements)
     assert got == [_run(capsys, *argv)[:2] for argv in argvs]
     assert [code for code, _ in got] == [0, 0, 0, 0]
-    # c_1 = 6: the finite representation check ran
-    assert "finite_rep_exact" in _report(got[1][1])[0]["heisenberg"]
 
 
 def test_module_check_rejects_real_tau(capsys):
@@ -707,9 +721,10 @@ _MORE_REPORTS = [
      lambda rep: rep["quadratic"] is None and not any(rep["generation"])),
     ('rmtorus ring --theta "(-5+sqrt5)/10" --g "[[-1,-1],[5,4]]" --max-degree 1',
      lambda rep: rep["generation"] == [] and rep["quadratic"] is None),
-    # c_1 = 8 > 6: no finite_rep_exact key
+    # c_1 = 8: the same report keys as the README data's c_1 = 5
     ('rmtorus module-check --theta "sqrt17" --degrees 1',
-     lambda rep: "finite_rep_exact" not in rep["heisenberg"]),
+     lambda rep: set(rep["degrees"]["1"]) == _MODULE_KEYS
+     and set(rep["heisenberg"]) == {"real_rep_property"}),
     ('rmtorus theta --r "2/5" --m "0.1+0.9i" --z=-0.3+0.05i', lambda rep: "z" in rep),
 ]
 

@@ -294,6 +294,18 @@ def test_witness_residual_is_relative_to_the_largest_j(mn):
     assert st.max_residual < 1e-10
 
 
+def test_witness_grid_is_sized_by_its_unknowns():
+    # the holomorphic witness has one basis column, the solve's one unknown,
+    # and its c_6 = 720 outputs are right-hand sides: T(1, 5) of the README
+    # data samples the 48-point floor, not 4*c_6 = 2,880 points
+    _, prep = balanced_product(holomorphic_element(README, 1, TAU),
+                               holomorphic_element(README, 5, TAU), tol=coord_ring._WITNESS_TOL)
+    assert len(prep["per_j_residual"]) == piece_dim(6, README) == 720
+    assert prep["columns"] == 1
+    assert prep["grid_points"] == 48
+    assert prep["max_residual"] < 1e-14
+
+
 def _mp_theta(num, den, level, tau):
     r = mpmath.mpf(num) / den
     m = level * mpmath.mpc(tau.real, tau.imag)

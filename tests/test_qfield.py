@@ -14,6 +14,7 @@ from rmtorus.qfield import (
     QuadIrr,
     RMData,
     SL2Matrix,
+    _squarefree_split,
     cf_expand,
     fixing_matrix,
     fundamental_discriminant,
@@ -44,7 +45,7 @@ def test_parse_round_trip():
 
 
 def test_parse_refuses_a_radicand_above_the_limit():
-    # the squarefree split trial-divides up to sqrt(D): at most 10^6 divisors
+    # the squarefree split trial-divides up to the cube root of D: at most 10^4 divisors
     assert QuadIrr.parse(f"sqrt{10 ** 12}") == 10 ** 6
     for text in (f"sqrt{10 ** 12 + 1}", f"(1+sqrt{10 ** 39 + 7})/2"):
         with pytest.raises(ValueError, match=r"above the limit of 10\^12"):
@@ -57,6 +58,22 @@ def test_canonicalization_removes_square_factors():
     assert (t.q, t.D) == (2, 2)
     s = QuadIrr(2, 4, 6, 18)  # (2 + 4*3*sqrt2)/6
     assert (s.p, s.q, s.r, s.D) == (1, 6, 3, 2)
+
+
+def _largest_square_divisor_root(n):
+    """The largest s with s*s dividing n, by trying every s up to sqrt(n)."""
+    return max(s for s in range(1, math.isqrt(n) + 1) if n % (s * s) == 0)
+
+
+def test_squarefree_split_matches_brute_force():
+    # the split strips divisors up to the cube root and settles the rest, 1, p,
+    # p^2 or p*q, by one isqrt; primes near the cube root of n test that edge
+    near_cube_roots = [(97, 101), (997, 1009), (1009, 1013), (9973, 10007)]
+    crafted = [n for p, q in near_cube_roots
+               for n in (p * p, 2 * p * p, p * q, p ** 3, p * p * q, 4 * p ** 3, q ** 3)]
+    for n in list(range(1, 5000)) + crafted:
+        s = _largest_square_divisor_root(n)
+        assert _squarefree_split(n) == (s, n // (s * s)), n
 
 
 def test_rational_normal_form():
