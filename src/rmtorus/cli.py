@@ -194,6 +194,10 @@ def _data_of(o: dict) -> RMData:
 # than this (degree 9 of the README data has c = 12,920, degree 12 has 231,840)
 _MAX_PROBE_MODULUS = 10 ** 5
 
+# algebra refuses a count*support above this: each of the count rounds draws
+# three elements of support terms (the README command has count*support = 2,000)
+_MAX_ALGEBRA_DRAWS = 10 ** 5
+
 
 def _cmd_fix(o: dict) -> dict:
     data = _data_of(o)
@@ -228,14 +232,16 @@ def _nanmax(*values) -> float:
 
 def _cmd_algebra(o: dict) -> dict:
     theta, count, support, tol = o["theta"], o["count"], o["support"], o["tol"]
+    if count * support > _MAX_ALGEBRA_DRAWS:
+        raise ToleranceError(f"algebra: count*support = {count * support} exceeds the "
+                             f"limit of {_MAX_ALGEBRA_DRAWS} drawn terms")
     rng = np.random.default_rng(o["seed"])
 
     def rand_elem():
-        coeffs = {}
-        for _ in range(support):
-            n, m = int(rng.integers(-6, 7)), int(rng.integers(-6, 7))
-            coeffs[(n, m)] = complex(rng.normal(), rng.normal())
-        return TorusElement(theta, coeffs)
+        keys = map(tuple, rng.integers(-6, 7, size=(support, 2)).tolist())
+        # a later draw of the same key wins
+        return TorusElement(theta, {k: complex(*c) for k, c
+                                    in zip(keys, rng.normal(size=(support, 2)).tolist())})
 
     u = TorusElement.u(theta)
     v = TorusElement.v(theta)

@@ -70,7 +70,7 @@ import math
 import numpy as np
 
 from .heis_rep import (FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector,
-                       apply_step, holomorphic_vector, lie_derivative)
+                       apply_step, holomorphic_vector, horner, lie_derivative)
 from .qfield import RMData
 from .torus_alg import TorusElement
 
@@ -303,11 +303,11 @@ def _row_values(pairs, pn: float, us: np.ndarray, X: np.ndarray, Y: np.ndarray,
             t *= quad
         coef = w
         if a1.degree:
-            t *= np.polynomial.polynomial.polyval(np.add.outer(X, pn * us), a1.poly)
+            t *= horner(a1.poly, np.add.outer(X, pn * us))
         else:
             coef = coef * a1.poly[0]
         if a2.degree:
-            t *= np.polynomial.polynomial.polyval(np.add.outer(Y, us), a2.poly)
+            t *= horner(a2.poly, np.add.outer(Y, us))
         else:
             coef = coef * a2.poly[0]
         t *= coef[:, None]

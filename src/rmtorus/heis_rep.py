@@ -39,6 +39,17 @@ def _e(z: complex) -> complex:
     return cmath.exp(_TWO_PI_I * z)
 
 
+def horner(poly, x):
+    """poly(x), coefficients in increasing degree, by Horner's rule.
+
+    Not np.polynomial: importing it costs degree-0-only runs 0.7 MB.
+    """
+    p = poly[-1]
+    for c in poly[-2::-1]:
+        p = p * x + c
+    return p
+
+
 def cis_turns(t: Fraction) -> complex:
     """exp(2*pi*i*t) for an exact number of turns."""
     return cmath.exp(_TWO_PI_I * float(t % 1))
@@ -74,12 +85,8 @@ class GaussianAtom:
         return self.poly[-1] == 0
 
     def value(self, x):
-        # Horner, not np.polynomial: importing it costs degree-0-only runs 0.7 MB
         x = np.asarray(x)
-        p = self.poly[-1]
-        for c in self.poly[-2::-1]:
-            p = p * x + c
-        return p * np.exp(_TWO_PI_I * (self.alpha * x ** 2 + self.beta * x))
+        return horner(self.poly, x) * np.exp(_TWO_PI_I * (self.alpha * x ** 2 + self.beta * x))
 
     def scaled(self, z) -> "GaussianAtom":
         return GaussianAtom(tuple(z * c for c in self.poly), self.alpha, self.beta)

@@ -383,10 +383,20 @@ def test_algebra_passes(capsys):
 
 
 def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
-    # the array code against the dict-of-terms reference of every
-    # TorusElement operation, the pair-loop product included: same stdout
-    # byte for byte
-    from test_torus_alg import _REFERENCE
+    # the box code against the dict-of-terms reference of every TorusElement
+    # operation, the pair-loop product included.  Each residual is the
+    # rounding error of an exact identity, so on both runs it lies within a
+    # bound, and so does the difference of the two runs.  To first order in u,
+    # with room for the second: a product of factors with at most k <= support
+    # terms is within E = 3(support + 2) u ||x||_1 ||y||_1 of exact on either
+    # side (test_torus_alg._product_bound), a star within 3u ||x||_1, and a
+    # derivation's factor 2*pi*(tau*n + m), at most F on exponents up to 12,
+    # is rounded within 6u.  leibniz is divided by ||x|| ||y|| ||z||, and its
+    # bound takes ||z||_1 >= 1: every element these runs draw has 11 or more
+    # terms with standard normal parts, and ||.||_1 above 13
+    import math
+
+    from test_torus_alg import _REFERENCE, _U
 
     argvs = [["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"],
              ["algebra", "--theta", "(-5+sqrt5)/10", "--count", "3", "--support", "12",
@@ -394,8 +404,22 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
     got = [_run(capsys, *argv)[:2] for argv in argvs]
     for name, ref in _REFERENCE.items():
         monkeypatch.setattr(TorusElement, name, ref)
-    assert got == [_run(capsys, *argv)[:2] for argv in argvs]
-    assert [code for code, _ in got] == [0, 0]
+    want = [_run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in got + want] == [0, 0, 0, 0]
+    F = 2 * math.pi * (abs(0.3 + 1.1j) * 12 + 12)
+    for (_, out), (_, ref_out) in zip(got, want):
+        rep, ref = _report(out)[0], _report(ref_out)[0]
+        E = 3 * (rep["support"] + 2)
+        bounds = {"uv_relation": 8, "associativity": 4 * E, "star_involution": 6,
+                  "star_antimult": 2 * E + 9, "tracial": 2 * E, "trace_positivity": E + 3,
+                  "leibniz": F * (2 * E + 13)}
+        assert set(rep["residuals"]) == set(ref["residuals"]) == set(bounds)
+        for key, c in bounds.items():
+            values = rep["residuals"][key], ref["residuals"][key]
+            assert 0.0 <= min(values) and max(values) <= c * _U * (1 + 1e-9), (key, values)
+        for r in (rep, ref):
+            assert r.pop("max_residual") == max(r.pop("residuals").values())
+        assert rep == ref
 
 
 def test_fix_values_match_mpmath_float():
@@ -419,6 +443,21 @@ def test_algebra_impossible_tolerance(capsys):
                         "--count", "3", "--support", "5", "--tol", "1e-300")
     assert code == 3
     assert "tolerance" in err
+
+
+def test_algebra_refuses_oversized_draws_up_front(capsys, monkeypatch):
+    # count*support above the draw limit exits 3 before anything is drawn; at
+    # 30 us per drawn term, --support 1000000000 would otherwise run for hours
+    def no_draws(seed):
+        raise AssertionError("drew terms for a refused job")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+    for count, support in [(1, 10**9), (100, 1001), (cli._MAX_ALGEBRA_DRAWS + 1, 1)]:
+        code, out, err = _run(capsys, "algebra", "--theta", "sqrt2",
+                              "--count", str(count), "--support", str(support))
+        assert (code, out) == (3, "")
+        assert err == (f"error: algebra: count*support = {count * support} exceeds the "
+                       f"limit of {cli._MAX_ALGEBRA_DRAWS} drawn terms\n")
 
 
 # -- module-check -----------------------------------------------------------------------
