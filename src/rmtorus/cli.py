@@ -172,6 +172,16 @@ def _resolve(sub: str, args: argparse.Namespace) -> tuple[dict, dict]:
     return opts, {name: opt.check(opts[name], name) for name, opt in options.items()}
 
 
+def _check_output(path: str) -> None:
+    """--output names a writable file, or a new file in an existing writable folder."""
+    import os  # already loaded by the interpreter at startup
+
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise InputError(f"cannot write the report to --output {path!r}")
+
+
 def _data_of(o: dict) -> RMData:
     """theta with --g, or with the minimal-trace g; a search past max_trace exits 3."""
     theta, g = o["theta"], o.get("g")
@@ -268,8 +278,10 @@ def _cmd_algebra(o: dict) -> dict:
                                           max(-t.real, abs(t.imag)) / max(x.norm1() ** 2, 1.0))
         for which in ("d1", "d2", "dtau"):
             lhs = xy.derive(which, tau)
-            rhs = x.derive(which, tau) * y + x * y.derive(which, tau)
-            res["leibniz"] = _nanmax(res["leibniz"], (lhs - rhs).norm1() / scale)
+            dx, dy = x.derive(which, tau), y.derive(which, tau)
+            rhs = dx * y + x * dy
+            res["leibniz"] = _nanmax(res["leibniz"], (lhs - rhs).norm1()
+                                     / max(dx.norm1() * y.norm1() + x.norm1() * dy.norm1(), 1.0))
     worst = _nanmax(*res.values())
     if not worst <= tol:
         raise ToleranceError(f"algebra residual {worst:.3e} exceeds tolerance {tol:.1e}")
@@ -410,6 +422,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         opts, checked = _resolve(args.command, args)
         report = _COMMANDS[args.command].run(checked)
     except (InputError, ToleranceError) as exc:

@@ -1,7 +1,9 @@
 """Heisenberg bimodules over the smooth torus algebra and their tensor products.
 
 E = S(R) (x) C(Z/cZ) carries commuting left and right actions of the torus
-algebra with the same parameter theta.  E is a Heisenberg representation
+algebra with the same parameter theta.  A ModuleElement is the one sum type:
+a finite sum of terms f (x) phi, each f a single Gaussian atom of heis_rep
+and phi a vector in C(Z/cZ).  E is a Heisenberg representation
 restricted to lattice points, so each generator acts as one Heisenberg
 element: a translation by t and a modulation e(s*x) on S(R), and the finite
 Heisenberg element (0, m) of FiniteHeisenberg(c) on C(Z/cZ).  With
@@ -25,10 +27,11 @@ n times then V m times (xi.(ab) = (xi.a).b fixes all other compositions), and
 on the left by applying V m times then U n times.  A generator's step, its
 (t, s) and the target index and phase of each finite index, is built once per
 degree of an RMData and kept with that degree's constants.  As every operator
-moves atoms exactly in their parameters, the two sides of each relation that
-module_residuals checks are finite sums of atoms, compared on coefficients;
-the first step of every relation (right and left U and V of the probe) is
-taken once and shared.
+moves each term's atom exactly in its parameters, the two sides of each
+relation that module_residuals checks are finite sums of terms, compared on
+coefficients, where terms whose atoms share (alpha, beta) add up; the first
+step of every relation (right and left U and V of the probe) is taken once
+and shared.
 
 The balanced product E_{g^m} (x)_{A_theta} E_{g^n} -> E_{g^{m+n}} is realized
 by averaging a plain tensor over the relation group generated by
@@ -47,10 +50,11 @@ c_m*eps_m*c_n*eps_n = c_N*eps_N and eps_n - eps_N = c_m/(c_n*c_N)) that H is
 well defined in j mod c_N, balanced in the algebra action, and intertwines
 the degree-N operator table on (u, j).  H is sampled for every j at once on a
 deterministic grid, each nonzero-weight (j, s) term at every grid point, in
-fixed-size blocks.  The exponents of an atom pair at x and y add up to
-A*u^2 + L*u + C, where only L and C depend on (j, s) and the offsets of x and
-y come from the exact integer j*c_m + s*c_N; so a term costs one exp of
-L*u + C against the pair's e(A*u^2).  The samples are summed per j and
+fixed-size blocks, with one s-window per pair of terms.  The exponents of
+the pair's atoms at x and y add up to A*u^2 + L*u + C, where only L and C
+depend on (j, s) and the offsets of x and y come from the exact integer
+j*c_m + s*c_N; so a term costs one exp of L*u + C against the pair's
+e(A*u^2).  The samples are summed per j and
 expanded in the Gaussian-atom basis inherited from the factors by one
 least-squares solve with a right-hand side per j, whose per-j residuals are
 reported; max_residual is the largest residual norm over j divided by the
@@ -69,8 +73,8 @@ import math
 
 import numpy as np
 
-from .heis_rep import (FiniteHeisenberg, FiniteVector, GaussianAtom, SchwartzVector,
-                       apply_step, holomorphic_vector, horner, lie_derivative)
+from .heis_rep import (FiniteHeisenberg, FiniteVector, GaussianAtom, apply_step,
+                       holomorphic_vector, horner, lie_derivative)
 from .qfield import RMData
 from .torus_alg import TorusElement
 
@@ -96,7 +100,8 @@ class IllConditionedSolve(RuntimeError):
 
 
 class ModuleElement:
-    """Element of E_{g^n}: a finite sum of (Schwartz atom sum) (x) (finite vector)."""
+    """Element of E_{g^n}: a finite sum of (Gaussian atom) (x) (finite vector)
+    terms, in the order given; terms whose atom is zero are dropped."""
 
     __slots__ = ("data", "degree", "terms")
 
@@ -104,7 +109,7 @@ class ModuleElement:
         if degree < 1:
             raise ValueError("module degree must be >= 1")
         consts = data.power(degree)
-        terms = tuple((s, f) for s, f in terms)
+        terms = tuple((a, f) for a, f in terms if not a.is_zero())
         for _, f in terms:
             if f.c != consts.c:
                 raise ValueError(f"finite factor has modulus {f.c}, expected {consts.c}")
@@ -120,7 +125,7 @@ class ModuleElement:
         return self.data.power(self.degree)
 
     @classmethod
-    def single(cls, data: RMData, degree: int, f: SchwartzVector, phi: FiniteVector) -> "ModuleElement":
+    def single(cls, data: RMData, degree: int, f: GaussianAtom, phi: FiniteVector) -> "ModuleElement":
         return cls(data, degree, [(f, phi)])
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
@@ -132,10 +137,10 @@ class ModuleElement:
         return self + other.scaled(-1.0)
 
     def scaled(self, z) -> "ModuleElement":
-        return ModuleElement(self.data, self.degree, [(s.scaled(z), f) for s, f in self.terms])
+        return ModuleElement(self.data, self.degree, [(a.scaled(z), f) for a, f in self.terms])
 
-    def map_schwartz(self, op) -> "ModuleElement":
-        return ModuleElement(self.data, self.degree, [(op(s), f) for s, f in self.terms])
+    def map_atoms(self, op) -> "ModuleElement":
+        return ModuleElement(self.data, self.degree, [(op(a), f) for a, f in self.terms])
 
     def __repr__(self):
         return f"ModuleElement(degree={self.degree}, c={self.consts.c}, {len(self.terms)} terms)"
@@ -221,7 +226,7 @@ def connection(i: int, xi: ModuleElement) -> ModuleElement:
     if i not in (1, 2):
         raise ValueError("connection direction must be 1 or 2")
     eps = xi.consts.eps
-    return xi.map_schwartz(lambda s: lie_derivative(s, "BA"[i - 1], eps))
+    return xi.map_atoms(lambda a: lie_derivative(a, "BA"[i - 1], eps))
 
 
 def curvature(xi: ModuleElement) -> ModuleElement:
@@ -255,15 +260,13 @@ def _pair_columns(xi: ModuleElement, eta: ModuleElement):
     cn = eta.consts.c
     pn = 1.0 / (cn * eta.consts.eps)
     cols: dict[tuple[complex, complex], int] = {}
-    for s1, _ in xi.terms:
-        for a1 in s1.atoms:
-            for s2, _ in eta.terms:
-                for a2 in s2.atoms:
-                    alpha = a1.alpha * pn * pn + a2.alpha
-                    beta = a1.beta * pn + a2.beta
-                    deg = a1.degree + a2.degree
-                    key = (alpha, beta)
-                    cols[key] = max(cols.get(key, 0), deg)
+    for a1, _ in xi.terms:
+        for a2, _ in eta.terms:
+            alpha = a1.alpha * pn * pn + a2.alpha
+            beta = a1.beta * pn + a2.beta
+            deg = a1.degree + a2.degree
+            key = (alpha, beta)
+            cols[key] = max(cols.get(key, 0), deg)
     return cols
 
 
@@ -281,41 +284,36 @@ def _quadratic_part(A: complex, us: np.ndarray, halfwidth: float):
     return np.exp(_TWO_PI_I * A * us * us)
 
 
-def _row_values(pairs, pn: float, us: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                w: np.ndarray) -> np.ndarray:
-    """Rows w * sum over atom pairs of a1(pn*u + X) * a2(u + Y) on the grid us.
+def _row_values(a1: GaussianAtom, a2: GaussianAtom, quad, pn: float, us: np.ndarray,
+                X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows w * a1(pn*u + X) * a2(u + Y) on the grid us; quad is the pair's
+    _quadratic_part.
 
-    A pair's exponent alpha_1*x^2 + beta_1*x + alpha_2*y^2 + beta_2*y at
+    The pair's exponent alpha_1*x^2 + beta_1*x + alpha_2*y^2 + beta_2*y at
     x = pn*u + X, y = u + Y is A*u^2 + L*u + C, where only L and C depend on
     the row.  So each row costs one exp of L*u + C, times the pair's e(A*u^2);
     the polynomials multiply in only above degree 0.
     """
-    out = None
-    for a1, a2, quad in pairs:
-        L = (2.0 * a1.alpha * X + a1.beta) * pn + 2.0 * a2.alpha * Y + a2.beta
-        C = X * (a1.alpha * X + a1.beta) + Y * (a2.alpha * Y + a2.beta)
-        t = np.multiply.outer(_TWO_PI_I * L, us)
-        t += (_TWO_PI_I * C)[:, None]
-        if quad is None:
-            t += _TWO_PI_I * (a1.alpha * pn * pn + a2.alpha) * us * us
-        np.exp(t, out=t)
-        if quad is not None:
-            t *= quad
-        coef = w
-        if a1.degree:
-            t *= horner(a1.poly, np.add.outer(X, pn * us))
-        else:
-            coef = coef * a1.poly[0]
-        if a2.degree:
-            t *= horner(a2.poly, np.add.outer(Y, us))
-        else:
-            coef = coef * a2.poly[0]
-        t *= coef[:, None]
-        if out is None:
-            out = t
-        else:
-            out += t
-    return out
+    L = (2.0 * a1.alpha * X + a1.beta) * pn + 2.0 * a2.alpha * Y + a2.beta
+    C = X * (a1.alpha * X + a1.beta) + Y * (a2.alpha * Y + a2.beta)
+    t = np.multiply.outer(_TWO_PI_I * L, us)
+    t += (_TWO_PI_I * C)[:, None]
+    if quad is None:
+        t += _TWO_PI_I * (a1.alpha * pn * pn + a2.alpha) * us * us
+    np.exp(t, out=t)
+    if quad is not None:
+        t *= quad
+    coef = w
+    if a1.degree:
+        t *= horner(a1.poly, np.add.outer(X, pn * us))
+    else:
+        coef = coef * a1.poly[0]
+    if a2.degree:
+        t *= horner(a2.poly, np.add.outer(Y, us))
+    else:
+        coef = coef * a2.poly[0]
+    t *= coef[:, None]
+    return t
 
 
 def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9):
@@ -357,8 +355,8 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     us = np.linspace(-halfwidth, halfwidth, points)
 
     # truncation radius: Gaussian tail of the averaging series below 1e-3*tol
-    q = min(min(a1.alpha.imag * eps_m * eps_m for s1, _ in xi.terms for a1 in s1.atoms),
-            min(a2.alpha.imag / (cn * cn) for s2, _ in eta.terms for a2 in s2.atoms))
+    q = min(min(a1.alpha.imag * eps_m * eps_m for a1, _ in xi.terms),
+            min(a2.alpha.imag / (cn * cn) for a2, _ in eta.terms))
     radius = math.sqrt(max(math.log(1.0 / (1e-3 * tol)), 1.0) / (2.0 * math.pi * q))
     radius = int(math.ceil(radius)) + 2 + 2 * max_deg
 
@@ -394,18 +392,15 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     x0 = -eps_m * cm * js / cN
     y0 = cm * js / (cn * cN)
     rows = max(1, _BLOCK // points)
-    for s1, f1 in xi.terms:
-        for s2, f2 in eta.terms:
-            if s1.is_zero() or s2.is_zero():
-                continue
-            pairs = [(a1, a2, _quadratic_part(a1.alpha * pn * pn + a2.alpha, us, halfwidth))
-                     for a1 in s1.atoms for a2 in s2.atoms]
+    for a1, f1 in xi.terms:
+        for a2, f2 in eta.terms:
+            quad = _quadratic_part(a1.alpha * pn * pn + a2.alpha, us, halfwidth)
             # s-window of every j, then its (j, s) pairs walked in blocks; only
             # pairs of nonzero weight are evaluated, and summed per j in order
             centers = np.array([(x0 - _atom_center(a1) + sg * pn * halfwidth) / eps_m
-                                for a1 in s1.atoms for sg in (-1, 1)]
+                                for sg in (-1, 1)]
                                + [cn * (_atom_center(a2) - y0 + sg * halfwidth)
-                                  for a2 in s2.atoms for sg in (-1, 1)])
+                                  for sg in (-1, 1)])
             s_lo = np.floor(centers.min(axis=0)).astype(int) - radius
             counts = np.ceil(centers.max(axis=0)).astype(int) + radius - s_lo + 1
             s_terms_max = max(s_terms_max, int(counts.max()))
@@ -421,7 +416,8 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
                     p = hit[b:b + rows]
                     jp = j[p]
                     k = jp * cm + s[p] * cN
-                    vals = _row_values(pairs, pn, us, -eps_m * k / cN, k / (cn * cN), w[p])
+                    vals = _row_values(a1, a2, quad, pn, us, -eps_m * k / cN,
+                                       k / (cn * cN), w[p])
                     first = np.flatnonzero(np.diff(jp, prepend=-1))
                     H[jp[first]] += np.add.reduceat(vals, first, axis=0)
     coef = (Vh.conj().T / sv) @ (U.conj().T @ H.T)
@@ -432,7 +428,7 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
     # precision reads near 1 in per_j_residual, but is only rounding noise
     report["max_residual"] = float(rn.max() / max(hn.max(), 1e-300))
     # one term per basis column: the column's atom times its coefficients over j
-    out_terms = [(SchwartzVector.of(at), FiniteVector(row.tolist()))
+    out_terms = [(at, FiniteVector(row.tolist()))
                  for at, row in zip(columns, coef) if np.any(row)]
     report["s_terms"] = s_terms_max
     return ModuleElement(data, N, out_terms), report
@@ -444,17 +440,16 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 def relative_distance(p: ModuleElement, q: ModuleElement) -> float:
     """max|P - Q| / max|P|, where P maps each (alpha, beta, k) to the coefficient
     of x^k * e(alpha*x^2 + beta*x) in p times its finite vector, summed over the
-    terms and atoms of p with that key, and Q does the same for q.  NaN or inf if
+    terms of p whose atom has that key, and Q does the same for q.  NaN or inf if
     a coefficient overflowed; ValueError if P is 0, as when p's atoms underflowed."""
     P, Q = {}, {}
     # an overflow ends as NaN in the result, not as a warning
     with np.errstate(all="ignore"):
         for out, xi in ((P, p), (Q, q)):
-            for s, f in xi.terms:
+            for at, f in xi.terms:
                 phi = np.array(f.entries)
-                for at in s.atoms:
-                    for k, z in enumerate(at.poly):
-                        out[at.alpha, at.beta, k] = out.get((at.alpha, at.beta, k), 0) + z * phi
+                for k, z in enumerate(at.poly):
+                    out[at.alpha, at.beta, k] = out.get((at.alpha, at.beta, k), 0) + z * phi
         top = np.abs(list(P.values())).max(initial=0.0)
         gap = np.abs([P.get(k, 0) - Q.get(k, 0) for k in P.keys() | Q.keys()]).max(initial=0.0)
         if top == 0:

@@ -3,9 +3,10 @@ closed family of Gaussian atoms the real representation acts on.
 
 A Gaussian atom is poly(x) * e(alpha*x^2 + beta*x) with Im(alpha) > 0 and
 e(z) = exp(2*pi*i*z); translations, modulations, multiplication by x and
-differentiation all stay inside the family, so Schwartz vectors are kept as
-finite lists of atoms and every operator below is symbolic on coefficients.
-Atoms are merged only on exact (alpha, beta) equality.
+differentiation all stay inside the family, so every operator below takes an
+atom to one atom and is symbolic on its coefficients.  Sums of atoms are kept
+one level up: a heis_module.ModuleElement is a sum of terms, each one atom
+times a vector in C(Z/cZ).
 
 Two Heisenberg groups are implemented over K = R^2 (parameter eps > 0, cocycle
 psi(x, y) = e((x1*y2 - y1*x2)/(2*eps))) and over K = (Z/cZ)^2 (cocycle
@@ -16,7 +17,7 @@ only when a vector entry is finally produced.  One integer kernel (numerators
 mod a multiple of 2c) carries the group law for single elements and for the
 whole-group check alike.
 
-The representation on f in S(R) is U_{(lam, y)} f(x) = lam * e((x*y2 +
+The representation on an atom f is U_{(lam, y)} f(x) = lam * e((x*y2 +
 y1*y2/2)/eps) * f(x + y1); on C(Z/cZ) it is U phi([n]) = lam * e((n*m2 +
 m1*m2/2)/c) * phi([n + m1]).  Lie derivatives of the real representation along
 the standard basis are d/dx, 2*pi*i*x/eps and 2*pi*i; the holomorphic vector
@@ -148,83 +149,6 @@ class GaussianAtom:
 
     def __repr__(self):
         return f"GaussianAtom(poly={self.poly}, alpha={self.alpha}, beta={self.beta})"
-
-
-class SchwartzVector:
-    """Finite sum of Gaussian atoms; the concrete model of a Schwartz vector."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms=()):
-        atoms = tuple(atoms)
-        # the merge pass runs only when two atoms share a key
-        if len({(at.alpha, at.beta) for at in atoms}) < len(atoms):
-            merged: dict[tuple[complex, complex], list] = {}
-            for at in atoms:
-                key = (at.alpha, at.beta)
-                if key in merged:
-                    cur = merged[key]
-                    n = max(len(cur), len(at.poly))
-                    cur.extend([0j] * (n - len(cur)))
-                    for k, c in enumerate(at.poly):
-                        cur[k] += c
-                else:
-                    merged[key] = list(at.poly)
-            atoms = [GaussianAtom(poly, alpha, beta) for (alpha, beta), poly in merged.items()]
-        object.__setattr__(self, "atoms", tuple(at for at in atoms if not at.is_zero()))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SchwartzVector is immutable")
-
-    @classmethod
-    def of(cls, *atoms) -> "SchwartzVector":
-        return cls(atoms)
-
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    @property
-    def max_degree(self) -> int:
-        return max((a.degree for a in self.atoms), default=0)
-
-    def map_atoms(self, f) -> "SchwartzVector":
-        return SchwartzVector(f(a) for a in self.atoms)
-
-    def __add__(self, other):
-        return SchwartzVector(self.atoms + other.atoms)
-
-    def __sub__(self, other):
-        return SchwartzVector(self.atoms + tuple(a.scaled(-1.0) for a in other.atoms))
-
-    def scaled(self, z) -> "SchwartzVector":
-        return self.map_atoms(lambda a: a.scaled(z))
-
-    def translate(self, t) -> "SchwartzVector":
-        return self.map_atoms(lambda a: a.translate(t))
-
-    def modulate(self, s) -> "SchwartzVector":
-        return self.map_atoms(lambda a: a.modulate(s))
-
-    def times_x(self) -> "SchwartzVector":
-        return self.map_atoms(lambda a: a.times_x())
-
-    def derivative(self) -> "SchwartzVector":
-        return self.map_atoms(lambda a: a.derivative())
-
-    @staticmethod
-    def _atom_key(a: GaussianAtom):
-        return (a.alpha.real, a.alpha.imag, a.beta.real, a.beta.imag)
-
-    def __eq__(self, other):
-        if not isinstance(other, SchwartzVector):
-            return NotImplemented
-        return sorted(self.atoms, key=self._atom_key) == sorted(other.atoms, key=self._atom_key)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.atoms, key=self._atom_key)))
-
-    def __repr__(self):
-        return f"SchwartzVector({len(self.atoms)} atoms, degree {self.max_degree})"
 
 
 class FiniteVector:
@@ -376,18 +300,13 @@ class RealHeisenberg:
     def inverse(self, h: HeisElement) -> HeisElement:
         return HeisElement(h.lam.conjugate(), (-h.y[0], -h.y[1]))
 
-    def act(self, h: HeisElement, f: SchwartzVector) -> SchwartzVector:
-        """U_{(lam,y)} f(x) = lam * e((x*y2 + y1*y2/2)/eps) * f(x + y1): each atom
-        translated, then modulated and scaled in one step, and merged once."""
+    def act(self, h: HeisElement, f: GaussianAtom) -> GaussianAtom:
+        """U_{(lam,y)} f(x) = lam * e((x*y2 + y1*y2/2)/eps) * f(x + y1): the atom
+        translated, then modulated and scaled in one step."""
         y1, y2 = h.y
         scalar = h.lam * _e(y1 * y2 / (2.0 * self.eps))
-        s = y2 / self.eps
-
-        def move(a: GaussianAtom) -> GaussianAtom:
-            a = a.translate(y1)
-            return GaussianAtom(tuple(scalar * c for c in a.poly), a.alpha, a.beta + s)
-
-        return f.map_atoms(move)
+        f = f.translate(y1)
+        return GaussianAtom(tuple(scalar * c for c in f.poly), f.alpha, f.beta + y2 / self.eps)
 
 
 class FiniteHeisenberg:
@@ -488,7 +407,7 @@ def apply_step(step: tuple[list[int], list[complex]], phi: FiniteVector) -> Fini
     return FiniteVector(out)
 
 
-def lie_derivative(f: SchwartzVector, which: str, eps: float) -> SchwartzVector:
+def lie_derivative(f: GaussianAtom, which: str, eps: float) -> GaussianAtom:
     """Derivative of the real representation along the standard Lie basis.
 
     "A" is d/dx, "B" is multiplication by 2*pi*i*x/eps, "C" (the central
@@ -503,30 +422,29 @@ def lie_derivative(f: SchwartzVector, which: str, eps: float) -> SchwartzVector:
     raise ValueError(f"unknown Lie direction {which!r}")
 
 
-def holomorphic_vector(tau: complex, eps: float) -> SchwartzVector:
+def holomorphic_vector(tau: complex, eps: float) -> GaussianAtom:
     """f_tau(x) = e(tau*x^2/(2*eps)); requires Im(tau) > 0 and eps > 0."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half-plane")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return SchwartzVector.of(GaussianAtom((1.0,), tau / (2.0 * eps), 0.0))
+    return GaussianAtom((1.0,), tau / (2.0 * eps), 0.0)
 
 
-def holomorphic_residual(tau: complex, f: SchwartzVector, eps: float) -> SchwartzVector:
-    """(delta_A - tau*delta_B) f computed atomically.
+def holomorphic_residual(tau: complex, f: GaussianAtom, eps: float) -> GaussianAtom:
+    """(delta_A - tau*delta_B) f computed on coefficients.
 
-    For each atom the result is p' + 2*pi*i*((2*alpha - tau/eps)*x + beta)*p;
+    The result is p' + 2*pi*i*((2*alpha - tau/eps)*x + beta)*p;
     the coefficient 2*alpha - tau/eps is an exact floating zero when alpha was
     built as tau/(2*eps), since halving and doubling are exact in IEEE
     arithmetic, so holomorphic atoms are annihilated exactly.
     """
-    return SchwartzVector(at._linear_derivative(_TWO_PI_I * ((at.alpha + at.alpha) - tau / eps))
-                          for at in f.atoms)
+    return f._linear_derivative(_TWO_PI_I * ((f.alpha + f.alpha) - tau / eps))
 
 
-def l2_distance(p: SchwartzVector, q: SchwartzVector) -> float:
-    """||p - q|| / ||p|| in L^2(R) for one degree-0 atom on each side, of one alpha.
+def l2_distance(p: GaussianAtom, q: GaussianAtom) -> float:
+    """||p - q|| / ||p|| in L^2(R) for two nonzero degree-0 atoms p, q of one alpha.
 
     With p = a*e(alpha*x^2 + beta*x) and q/p = exp(L(x)), L(x) = log(b/a) + i*k*x,
     x is Gaussian under the weight |p|^2; there Re L has mean m and variance v,
@@ -534,14 +452,12 @@ def l2_distance(p: SchwartzVector, q: SchwartzVector) -> float:
     E|expm1(L)|^2 = expm1(m + v/2)^2 + e^(2m + v)*expm1(v) + 2*e^(m + v/2)*
     (-expm1(-u/2) + 2*e^(-u/2)*sin(w/2)^2), a sum of non-negative parts.
     """
-    if not (len(p.atoms) == len(q.atoms) == 1 and p.atoms[0].degree == q.atoms[0].degree == 0
-            and p.atoms[0].alpha == q.atoms[0].alpha):
+    if p.degree or q.degree or p.alpha != q.alpha or p.is_zero() or q.is_zero():
         raise ValueError("the closed form needs one degree-0 atom of one alpha on each side")
-    (ap,), (aq,) = p.atoms, q.atoms
-    rho = (aq.poly[0] - ap.poly[0]) / ap.poly[0]              # b/a - 1
-    k = 2.0 * math.pi * (aq.beta - ap.beta)
-    var = 1.0 / (8.0 * math.pi * ap.alpha.imag)               # of x under |p|^2
-    mu = -ap.beta.imag / (2.0 * ap.alpha.imag)
+    rho = (q.poly[0] - p.poly[0]) / p.poly[0]                # b/a - 1
+    k = 2.0 * math.pi * (q.beta - p.beta)
+    var = 1.0 / (8.0 * math.pi * p.alpha.imag)                # of x under |p|^2
+    mu = -p.beta.imag / (2.0 * p.alpha.imag)
     # products, not **: a huge gap gives inf, not OverflowError
     v = var * k.imag * k.imag
     u = var * k.real * k.real

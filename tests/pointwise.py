@@ -1,4 +1,4 @@
-"""Pointwise evaluation of Schwartz vectors and module elements.
+"""Pointwise evaluation of module elements.
 
 The package decides its relations on atom coefficients; the tests keep point
 values as an independent reference for the symbolic operators.
@@ -7,17 +7,12 @@ values as an independent reference for the symbolic operators.
 import numpy as np
 
 
-def values(f, x):
-    """f(x) for a SchwartzVector f: the sum of its atoms' values."""
-    return sum((a.value(x) for a in f.atoms), np.zeros_like(np.asarray(x, dtype=complex)))
-
-
 def sample(xi, xs) -> np.ndarray:
     """Array of shape (c_n, len(xs)), row k = values of xi at (xs, [k])."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((xi.consts.c, xs.size), dtype=complex)
-    for s, f in xi.terms:
-        out += np.outer(f.entries, values(s, xs))
+    for atom, f in xi.terms:
+        out += np.outer(f.entries, atom.value(xs))
     return out
 
 

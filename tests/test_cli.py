@@ -303,6 +303,22 @@ def test_output_file_copy(tmp_path, capsys):
     json.loads(target.read_text())
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "file/x.json", "."],
+                         ids=["no-folder", "folder-is-a-file", "a-folder"])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, where):
+    # the report used to be printed, and the write then failed with a traceback
+    (tmp_path / "file").write_text("")
+    target = str(tmp_path / where)
+
+    def no_work(o):
+        raise AssertionError("ran a job whose report cannot be written")
+
+    monkeypatch.setitem(cli._COMMANDS, "fix", cli._COMMANDS["fix"]._replace(run=no_work))
+    code, out, err = _run(capsys, "fix", "--theta", "sqrt2", "--output", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write the report to --output {target!r}\n"
+
+
 # -- config file --------------------------------------------------------------------
 
 def test_config_supplies_options(tmp_path, capsys):
@@ -390,12 +406,10 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
     # with room for the second: a product of factors with at most k <= support
     # terms is within E = 3(support + 2) u ||x||_1 ||y||_1 of exact on either
     # side (test_torus_alg._product_bound), a star within 3u ||x||_1, and a
-    # derivation's factor 2*pi*(tau*n + m), at most F on exponents up to 12,
-    # is rounded within 6u.  leibniz is divided by ||x|| ||y|| ||z||, and its
-    # bound takes ||z||_1 >= 1: every element these runs draw has 11 or more
-    # terms with standard normal parts, and ||.||_1 above 13
-    import math
-
+    # derivation's factor 2*pi*(tau*n + m) is rounded within 6u.  The factor
+    # is additive in the exponents, so a derivation of a product's rounding
+    # error stays within E u D, D = ||dx||_1 ||y||_1 + ||x||_1 ||dy||_1, and
+    # leibniz, divided by max(D, 1), is within (2E + 13) u
     from test_torus_alg import _REFERENCE, _U
 
     argvs = [["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"],
@@ -406,13 +420,12 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
         monkeypatch.setattr(TorusElement, name, ref)
     want = [_run(capsys, *argv)[:2] for argv in argvs]
     assert [code for code, _ in got + want] == [0, 0, 0, 0]
-    F = 2 * math.pi * (abs(0.3 + 1.1j) * 12 + 12)
     for (_, out), (_, ref_out) in zip(got, want):
         rep, ref = _report(out)[0], _report(ref_out)[0]
         E = 3 * (rep["support"] + 2)
         bounds = {"uv_relation": 8, "associativity": 4 * E, "star_involution": 6,
                   "star_antimult": 2 * E + 9, "tracial": 2 * E, "trace_positivity": E + 3,
-                  "leibniz": F * (2 * E + 13)}
+                  "leibniz": 2 * E + 13}
         assert set(rep["residuals"]) == set(ref["residuals"]) == set(bounds)
         for key, c in bounds.items():
             values = rep["residuals"][key], ref["residuals"][key]
@@ -420,6 +433,15 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
         for r in (rep, ref):
             assert r.pop("max_residual") == max(r.pop("residuals").values())
         assert rep == ref
+
+
+def test_algebra_leibniz_is_relative_to_its_own_terms(capsys):
+    # leibniz is divided by ||dx||_1 ||y||_1 + ||x||_1 ||dy||_1, the size of
+    # the identity's two sides; divided by ||x||_1 ||y||_1 ||z||_1 instead,
+    # one-term elements read 5.7e-14 here
+    code, out, _ = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "100", "--support", "1")
+    assert code == 0
+    assert _report(out)[0]["residuals"]["leibniz"] < 1e-15
 
 
 def test_fix_values_match_mpmath_float():

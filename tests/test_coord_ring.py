@@ -75,8 +75,7 @@ def test_grading(t11):
 def _coefficients(prod, tau):
     """The coefficients over j of a holomorphic balanced product's one term,
     f_{tau,N} (x) (coefficients), N = prod.degree."""
-    ((atom_sum, row),) = prod.terms
-    (atom,) = atom_sum.atoms
+    ((atom, row),) = prod.terms
     assert atom.poly == (1,) and atom.beta == 0
     assert abs(atom.alpha - tau / (2.0 * prod.consts.eps)) < 1e-14 * abs(atom.alpha)
     return np.array(row.entries)

@@ -21,11 +21,11 @@ from rmtorus.heis_module import (
     right_act,
 )
 from rmtorus.coord_ring import structure_tensor
-from rmtorus.heis_rep import FiniteVector, GaussianAtom, SchwartzVector, cis_turns
+from rmtorus.heis_rep import FiniteVector, GaussianAtom, cis_turns
 from rmtorus.qfield import QuadIrr, RMData, rank_value, unit_phase
 from rmtorus.torus_alg import TorusElement
 
-from pointwise import sample, sup_distance, sup_norm, values
+from pointwise import sample, sup_distance, sup_norm
 
 GOLDEN = RMData(QuadIrr.parse("(1+sqrt5)/2"))
 ROOT2 = RMData(QuadIrr.parse("sqrt2"))
@@ -66,10 +66,31 @@ def test_relative_distance_on_coefficients():
     # keys of either side count, and terms that share a key add up
     phi = FiniteVector.delta(TEST5.power(1).c, 0)
     a, b = GaussianAtom((2.0,), 1j), GaussianAtom((0.5j,), 1j, 0.25)
-    p = ModuleElement.single(TEST5, 1, SchwartzVector.of(a), phi)
-    q = ModuleElement.single(TEST5, 1, SchwartzVector.of(a, b), phi)
+    p = ModuleElement.single(TEST5, 1, a, phi)
+    q = p + ModuleElement.single(TEST5, 1, b, phi)
     assert relative_distance(p, q) == relative_distance(q, p) == 0.25
     assert relative_distance(p + p, p.scaled(2.0)) == 0.0
+
+
+def test_terms_of_one_atom_merge_in_relative_distance():
+    # a (x) phi + a (x) psi is a (x) (phi + psi) to rounding: the two terms stay
+    # apart in the element, and their coefficients add up under one key
+    c = TEST5.power(1).c
+    a = GaussianAtom((0.3 - 1.7j, 2.1), 0.4 + 1.3j, -0.6 + 0.1j)
+    phi = FiniteVector([complex(0.1 * k + 1, -k) for k in range(c)])
+    psi = FiniteVector([complex(-0.7, 0.3 * k * k) for k in range(c)])
+    both = FiniteVector([u + v for u, v in zip(phi.entries, psi.entries)])
+    split = ModuleElement(TEST5, 1, [(a, phi), (a, psi)])
+    assert len(split.terms) == 2
+    assert relative_distance(split, ModuleElement.single(TEST5, 1, a, both)) < 4e-16
+    # a zero atom drops its term, and an element with no term left is refused
+    zero = GaussianAtom((0.0, 0.0), 0.4 + 1.3j)
+    assert ModuleElement.single(TEST5, 1, a.scaled(0.0), phi).terms == ()
+    assert split.scaled(0.0).terms == ()
+    q = ModuleElement(TEST5, 1, [(zero, phi), (a, both)])
+    assert q.terms == ((a, both),)
+    with pytest.raises(ValueError):
+        relative_distance(split.scaled(0.0), q)
 
 
 def test_module_residuals_keep_a_nan_case():
@@ -179,16 +200,16 @@ def _multi_term_probe(data, degree):
     eps = data.power(degree).eps
     w1 = FiniteVector([complex(1 + (i % 3), -i % 2) for i in range(c)])
     w2 = FiniteVector([complex(-0.5 * i, 0.25 + i % 4) for i in range(c)])
-    f1 = SchwartzVector.of(GaussianAtom((1.0,), TAU / (2 * eps), 0.0),
-                           GaussianAtom((0.5, -1j, 0.25), 0.2 + 0.9j, 0.3 - 0.1j))
-    f2 = SchwartzVector.of(GaussianAtom((2.0 - 1j, 0.7), 1.3j, -0.4 + 0.2j))
-    return ModuleElement(data, degree, [(f1, w1), (f2, w2)])
+    return ModuleElement(data, degree, [
+        (GaussianAtom((1.0,), TAU / (2 * eps), 0.0), w1),
+        (GaussianAtom((0.5, -1j, 0.25), 0.2 + 0.9j, 0.3 - 0.1j), w1),
+        (GaussianAtom((2.0 - 1j, 0.7), 1.3j, -0.4 + 0.2j), w2)])
 
 
 def _assert_identical(got, want):
     assert got.degree == want.degree and len(got.terms) == len(want.terms)
     for (f, phi), (g, psi) in zip(got.terms, want.terms):
-        assert f.atoms == g.atoms
+        assert f == g
         assert phi == psi
 
 
@@ -266,8 +287,7 @@ def test_curvature_random_atoms():
             complex(rng.normal(), rng.uniform(0.3, 2.0)),
             complex(rng.normal(), rng.normal()),
         )
-        xi = ModuleElement.single(data, 1, SchwartzVector.of(atom),
-                                  FiniteVector.delta(data.power(1).c, 0))
+        xi = ModuleElement.single(data, 1, atom, FiniteVector.delta(data.power(1).c, 0))
         want = xi.scaled(curvature_scalar(data, 1))
         assert sup_distance(curvature(xi), want, XS) < 1e-12 * max(1.0, sup_norm(want, XS))
 
@@ -304,8 +324,7 @@ def test_module_element_validation():
         ModuleElement(data, 0, [])
     with pytest.raises(ValueError):
         # wrong finite modulus for degree 1 (c_1 = 5)
-        ModuleElement.single(data, 1, SchwartzVector.of(GaussianAtom((1.0,), 1j)),
-                             FiniteVector.delta(4, 0))
+        ModuleElement.single(data, 1, GaussianAtom((1.0,), 1j), FiniteVector.delta(4, 0))
     with pytest.raises(ValueError):
         holomorphic_element(data, 1, 0.3 - 1.1j)
 
@@ -322,9 +341,8 @@ def test_balanced_product_degree_and_closure():
     assert report["max_residual"] < 1e-8
     assert report["cond"] < 1e12
     alpha2 = TAU / (2.0 * data.power(2).eps)
-    for s, _ in prod.terms:
-        for at in s.atoms:
-            assert abs(at.alpha - alpha2) < 1e-9 * abs(alpha2)
+    for at, _ in prod.terms:
+        assert abs(at.alpha - alpha2) < 1e-9 * abs(alpha2)
 
 
 def test_balanced_product_balancing():
@@ -391,59 +409,53 @@ def matched_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-14
     eps_m, eps_n, eps_N = km.eps, kn.eps, kN.eps
     pn = 1.0 / (cn * eps_n)
 
-    for sv, _ in xi.terms + eta.terms:
-        for at in sv.atoms:
-            if at.degree > 0:
-                raise ValueError("matched_product handles degree-0 atoms only")
-    for s1, _ in xi.terms:
-        for a1 in s1.atoms:
-            for s2, _ in eta.terms:
-                for a2 in s2.atoms:
-                    mism = abs(a1.alpha * eps_m - a2.alpha * eps_n)
-                    if mism > 1e-9 * max(abs(a1.alpha * eps_m), 1.0):
-                        raise ValueError("atoms are not matched; use balanced_product")
+    for at, _ in xi.terms + eta.terms:
+        if at.degree > 0:
+            raise ValueError("matched_product handles degree-0 atoms only")
+    for a1, _ in xi.terms:
+        for a2, _ in eta.terms:
+            mism = abs(a1.alpha * eps_m - a2.alpha * eps_n)
+            if mism > 1e-9 * max(abs(a1.alpha * eps_m), 1.0):
+                raise ValueError("atoms are not matched; use balanced_product")
 
     out_terms = []
     for j in range(cN):
         x0 = -j * eps_N * pn
         y0 = j * (eps_n - eps_N)
         atoms: dict[tuple[complex, complex], complex] = {}
-        for s1, f1 in xi.terms:
-            for s2, f2 in eta.terms:
-                for a1 in s1.atoms:
-                    for a2 in s2.atoms:
-                        w1 = a1.poly[0]
-                        w2 = a2.poly[0]
-                        alpha = a1.alpha * pn * pn + a2.alpha
-                        beta = (a1.beta * pn + a2.beta
-                                + 2 * a1.alpha * pn * x0 + 2 * a2.alpha * y0)
-                        # minimize Im of the constant exponent over s
-                        b2 = a1.alpha.imag * eps_m * eps_m + a2.alpha.imag / (cn * cn)
-                        b1 = (-2 * a1.alpha.imag * eps_m * x0 - a1.beta.imag * eps_m
-                              + 2 * a2.alpha.imag * y0 / cn + a2.beta.imag / cn)
-                        s_star = int(round(-b1 / (2 * b2)))
-                        # beyond |s - s_star| = R the summand is below tol
-                        # relative to the peak by the Gaussian envelope
-                        R = int(math.ceil(math.sqrt(
-                            max(math.log(1.0 / tol), 1.0) / (2.0 * math.pi * b2)
-                        ))) + cm * cn + 2
-                        total = 0j
-                        for s in range(s_star - R, s_star + R + 1):
-                            wf = f1[(-s) % cm] * f2[(j + s * an) % cn]
-                            if wf == 0:
-                                continue
-                            xs = x0 - s * eps_m
-                            ys = y0 + s / cn
-                            const = (a1.alpha * xs * xs + a1.beta * xs
-                                     + a2.alpha * ys * ys + a2.beta * ys)
-                            total += wf * np.exp(2j * math.pi * const)
-                        coef = w1 * w2 * total
-                        if coef != 0:
-                            key = (alpha, beta)
-                            atoms[key] = atoms.get(key, 0j) + coef
-        sv = SchwartzVector(GaussianAtom((z,), alpha, beta) for (alpha, beta), z in atoms.items())
-        if not sv.is_zero():
-            out_terms.append((sv, FiniteVector.delta(cN, j)))
+        for a1, f1 in xi.terms:
+            for a2, f2 in eta.terms:
+                w1 = a1.poly[0]
+                w2 = a2.poly[0]
+                alpha = a1.alpha * pn * pn + a2.alpha
+                beta = (a1.beta * pn + a2.beta
+                        + 2 * a1.alpha * pn * x0 + 2 * a2.alpha * y0)
+                # minimize Im of the constant exponent over s
+                b2 = a1.alpha.imag * eps_m * eps_m + a2.alpha.imag / (cn * cn)
+                b1 = (-2 * a1.alpha.imag * eps_m * x0 - a1.beta.imag * eps_m
+                      + 2 * a2.alpha.imag * y0 / cn + a2.beta.imag / cn)
+                s_star = int(round(-b1 / (2 * b2)))
+                # beyond |s - s_star| = R the summand is below tol
+                # relative to the peak by the Gaussian envelope
+                R = int(math.ceil(math.sqrt(
+                    max(math.log(1.0 / tol), 1.0) / (2.0 * math.pi * b2)
+                ))) + cm * cn + 2
+                total = 0j
+                for s in range(s_star - R, s_star + R + 1):
+                    wf = f1[(-s) % cm] * f2[(j + s * an) % cn]
+                    if wf == 0:
+                        continue
+                    xs = x0 - s * eps_m
+                    ys = y0 + s / cn
+                    const = (a1.alpha * xs * xs + a1.beta * xs
+                             + a2.alpha * ys * ys + a2.beta * ys)
+                    total += wf * np.exp(2j * math.pi * const)
+                coef = w1 * w2 * total
+                if coef != 0:
+                    key = (alpha, beta)
+                    atoms[key] = atoms.get(key, 0j) + coef
+        out_terms += [(GaussianAtom((z,), alpha, beta), FiniteVector.delta(cN, j))
+                      for (alpha, beta), z in atoms.items()]
     return ModuleElement(data, N, out_terms)
 
 
@@ -468,10 +480,11 @@ def test_matched_product_matches_theta_labels():
             prod = matched_product(holomorphic_element(TEST5, 1, TAU, k=k),
                                    holomorphic_element(TEST5, 1, TAU, k=l))
             got = np.zeros(15, dtype=complex)
-            for sv, f in prod.terms:
-                (atom,) = sv.atoms
+            js = [f.entries.index(1) for _, f in prod.terms]
+            assert len(set(js)) == len(js)
+            for (atom, _), j in zip(prod.terms, js):
                 assert abs(atom.beta) < 1e-13
-                got[f.entries.index(1)] = atom.poly[0]
+                got[j] = atom.poly[0]
             assert np.max(np.abs(got - st.tensor[:, k, l])) < 1e-13
 
 
@@ -496,7 +509,8 @@ def test_ill_conditioned_solve_reports():
     eps1 = data.power(1).eps
     a1 = GaussianAtom((1.0,), TAU / (2 * eps1), 0.0)
     a2 = GaussianAtom((1.0,), TAU / (2 * eps1), 1e-15)
-    xi = ModuleElement.single(data, 1, SchwartzVector.of(a1, a2), FiniteVector.delta(c1, 0))
+    phi = FiniteVector.delta(c1, 0)
+    xi = ModuleElement(data, 1, [(a1, phi), (a2, phi)])
     eta = holomorphic_element(data, 1, TAU)
     with pytest.raises(IllConditionedSolve) as exc:
         balanced_product(xi, eta)
@@ -529,25 +543,19 @@ def _reference_product(xi, eta, report):
         x0 = -j * kN.eps * pn
         y0 = j * (kn.eps - kN.eps)
         h = np.zeros(points, dtype=complex)
-        for s1, f1 in xi.terms:
-            for s2, f2 in eta.terms:
-                if s1.is_zero() or s2.is_zero():
-                    continue
-                centers = []
-                for a1 in s1.atoms:
-                    w0 = _atom_center(a1)
-                    centers += [(x0 - w0 - pn * hw) / km.eps, (x0 - w0 + pn * hw) / km.eps]
-                for a2 in s2.atoms:
-                    w0 = _atom_center(a2)
-                    centers += [cn * (w0 - y0 - hw), cn * (w0 - y0 + hw)]
+        for a1, f1 in xi.terms:
+            for a2, f2 in eta.terms:
+                w1, w2 = _atom_center(a1), _atom_center(a2)
+                centers = [(x0 - w1 - pn * hw) / km.eps, (x0 - w1 + pn * hw) / km.eps,
+                           cn * (w2 - y0 - hw), cn * (w2 - y0 + hw)]
                 s_lo = int(math.floor(min(centers))) - radius
                 s_hi = int(math.ceil(max(centers))) + radius
                 s_terms = max(s_terms, s_hi - s_lo + 1)
                 for s in range(s_lo, s_hi + 1):
                     w = f1[(-s) % cm] * f2[(j + s * kn.a) % cn]
                     if w != 0:
-                        h += (w * values(s1, pn * us + x0 - s * km.eps)
-                              * values(s2, us + y0 + s / cn))
+                        h += (w * a1.value(pn * us + x0 - s * km.eps)
+                              * a2.value(us + y0 + s / cn))
         coef = np.linalg.lstsq(B, h, rcond=None)[0]
         hn = float(np.linalg.norm(h))
         per_j.append(float(np.linalg.norm(B @ coef - h)) / hn if hn > 0 else 0.0)
@@ -571,20 +579,24 @@ def _deltas(m, k, n, ll):
 def _shifted_poly(data, degree):
     # atoms of polynomial degree 0 to 2 whose beta is complex and differs
     # from atom to atom: translated, modulated off the real line, x*d/dx
-    return _probe(data, degree).map_schwartz(
-        lambda s: s.translate(0.3).modulate(0.15 - 0.1j) + s.times_x().derivative().scaled(0.05j))
+    probe = _probe(data, degree)
+    return (probe.map_atoms(lambda a: a.translate(0.3).modulate(0.15 - 0.1j))
+            + probe.map_atoms(lambda a: a.times_x().derivative().scaled(0.05j)))
 
 
 def _poly(data, degree):
-    return _probe(data, degree).map_schwartz(lambda s: s.derivative() + s.times_x().scaled(0.1))
+    probe = _probe(data, degree)
+    return (probe.map_atoms(lambda a: a.derivative())
+            + probe.map_atoms(lambda a: a.times_x().scaled(0.1)))
 
 
 def _wide_and_narrow(degree, k):
     # a target atom 150 times narrower than the grid's: e(A*u^2) of that pair
     # underflows at the grid's ends, so its rows keep A*u^2 in their exponent
     alpha = TAU / (2.0 * TEST5.power(degree).eps)
-    atoms = SchwartzVector.of(GaussianAtom((1.0,), alpha), GaussianAtom((0.5,), 150 * alpha))
-    return ModuleElement.single(TEST5, degree, atoms, FiniteVector.delta(TEST5.power(degree).c, k))
+    phi = FiniteVector.delta(TEST5.power(degree).c, k)
+    return ModuleElement(TEST5, degree, [(GaussianAtom((1.0,), alpha), phi),
+                                         (GaussianAtom((0.5,), 150 * alpha), phi)])
 
 
 _KERNEL_CASES = {
@@ -608,7 +620,7 @@ _KERNEL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_balanced_product_matches_per_index_loop(case):
-    # the reference sums values(s1, x) * values(s2, y) atom by atom, at offsets
+    # the reference sums a1(x) * a2(y) term pair by term pair, at offsets
     # x0 - s*eps_m and y0 + s/c_n; the kernel fuses each atom pair's
     # exponents and takes its offsets from integers
     xi, eta = _KERNEL_CASES[case]()

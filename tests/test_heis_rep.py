@@ -14,7 +14,6 @@ from rmtorus.heis_rep import (
     GaussianAtom,
     HeisElement,
     RealHeisenberg,
-    SchwartzVector,
     _act,
     _canon,
     _index_dtype,
@@ -28,14 +27,10 @@ from rmtorus.heis_rep import (
     lie_derivative,
 )
 
-from pointwise import values
 
-
-def _sample_vector():
-    return SchwartzVector.of(
-        GaussianAtom((1.0, 0.5j), 0.3 + 0.7j, 0.1 - 0.2j),
-        GaussianAtom((2.0,), 1.1j, 0.4),
-    )
+# a degree-1 atom with complex beta and a real-beta degree-0 one
+_SAMPLE_ATOMS = (GaussianAtom((1.0, 0.5j), 0.3 + 0.7j, 0.1 - 0.2j),
+                 GaussianAtom((2.0,), 1.1j, 0.4))
 
 
 XS = np.linspace(-2.3, 2.1, 11)
@@ -51,35 +46,35 @@ def test_atom_value():
 
 
 def test_translate_matches_pointwise():
-    f = _sample_vector()
     t = 0.37
-    g = f.translate(t)
-    for x in XS:
-        assert abs(values(g, x) - values(f, x + t)) < 1e-12
+    for f in _SAMPLE_ATOMS:
+        g = f.translate(t)
+        for x in XS:
+            assert abs(g.value(x) - f.value(x + t)) < 1e-12
 
 
 def test_modulate_matches_pointwise():
-    f = _sample_vector()
     s = -1.21
-    g = f.modulate(s)
-    for x in XS:
-        assert abs(values(g, x) - cmath.exp(2j * math.pi * s * x) * values(f, x)) < 1e-12
+    for f in _SAMPLE_ATOMS:
+        g = f.modulate(s)
+        for x in XS:
+            assert abs(g.value(x) - cmath.exp(2j * math.pi * s * x) * f.value(x)) < 1e-12
 
 
 def test_times_x_matches_pointwise():
-    f = _sample_vector()
-    g = f.times_x()
-    for x in XS:
-        assert abs(values(g, x) - x * values(f, x)) < 1e-13
+    for f in _SAMPLE_ATOMS:
+        g = f.times_x()
+        for x in XS:
+            assert abs(g.value(x) - x * f.value(x)) < 1e-13
 
 
 def test_derivative_matches_finite_difference():
-    f = _sample_vector()
-    g = f.derivative()
     h = 1e-6
-    for x in XS:
-        fd = (values(f, x + h) - values(f, x - h)) / (2 * h)
-        assert abs(values(g, x) - fd) < 1e-7 * (1 + abs(fd))
+    for f in _SAMPLE_ATOMS:
+        g = f.derivative()
+        for x in XS:
+            fd = (f.value(x + h) - f.value(x - h)) / (2 * h)
+            assert abs(g.value(x) - fd) < 1e-7 * (1 + abs(fd))
 
 
 def test_atom_requires_decay():
@@ -87,15 +82,6 @@ def test_atom_requires_decay():
         GaussianAtom((1.0,), 0.5 - 0.1j)
     with pytest.raises(ValueError):
         GaussianAtom((1.0,), 1.0)  # real alpha: no decay
-
-
-def test_vector_merges_equal_shapes():
-    a = GaussianAtom((1.0,), 1j, 0.0)
-    b = GaussianAtom((0.0, 2.0), 1j, 0.0)
-    v = SchwartzVector.of(a, b)
-    assert len(v.atoms) == 1
-    assert v.atoms[0].poly == (1.0, 2.0)
-    assert (v - v).is_zero()
 
 
 # -- real Heisenberg group -------------------------------------------------------
@@ -118,21 +104,20 @@ def test_real_cocycle_identity():
 def test_real_representation_property():
     rng = np.random.default_rng(12)
     G = RealHeisenberg(1.618033988749895)
-    f = _sample_vector()
     worst = 0.0
     for _ in range(20):
         h1 = G.element(cmath.exp(2j * math.pi * rng.uniform()), *rng.uniform(-2, 2, 2))
         h2 = G.element(cmath.exp(2j * math.pi * rng.uniform()), *rng.uniform(-2, 2, 2))
-        lhs = G.act(h1, G.act(h2, f))
-        rhs = G.act(G.mul(h1, h2), f)
-        for x in XS:
-            worst = max(worst, abs(values(lhs, x) - values(rhs, x)))
+        for f in _SAMPLE_ATOMS:
+            lhs = G.act(h1, G.act(h2, f))
+            rhs = G.act(G.mul(h1, h2), f)
+            for x in XS:
+                worst = max(worst, abs(lhs.value(x) - rhs.value(x)))
     assert worst < 1e-12
 
 
-def _quad_l2_distance(p, q):
-    """||p - q|| / ||p|| of two one-atom vectors by 40-digit quadrature."""
-    (ap,), (aq,) = p.atoms, q.atoms
+def _quad_l2_distance(ap, aq):
+    """||p - q|| / ||p|| of two degree-0 atoms by 40-digit quadrature."""
 
     def atom(at, x):
         return mpmath.mpc(at.poly[0]) * mpmath.expjpi(
@@ -155,22 +140,20 @@ def test_l2_distance_matches_quadrature(dbeta, ratio, rel, absolute):
     # the closed form has no cancellation: a Gram expansion ||p||^2 + ||q||^2
     # - 2 Re<p, q> would lose everything below about 1e-8 here
     alpha, beta, a = 0.3 + 0.9j, 0.2 - 0.1j, 1.2 - 0.4j
-    p = SchwartzVector.of(GaussianAtom((a,), alpha, beta))
-    q = SchwartzVector.of(GaussianAtom((a * ratio,), alpha, beta + dbeta))
+    p = GaussianAtom((a,), alpha, beta)
+    q = GaussianAtom((a * ratio,), alpha, beta + dbeta)
     got, want = l2_distance(p, q), _quad_l2_distance(p, q)
     assert abs(got - want) <= rel * want + absolute
     assert l2_distance(p, p) == 0.0
 
 
 def test_l2_distance_needs_one_matching_atom():
-    # another alpha, a degree-1 atom, no atom, two atoms
-    p = SchwartzVector.of(GaussianAtom((1.0,), 1j))
-    for q in (SchwartzVector.of(GaussianAtom((1.0,), 2j)),
-              SchwartzVector.of(GaussianAtom((1.0, 1.0), 1j)),
-              SchwartzVector(),
-              p + SchwartzVector.of(GaussianAtom((1.0,), 1j, 0.5))):
-        with pytest.raises(ValueError):
-            l2_distance(p, q)
+    # another alpha, a degree-1 atom, a zero atom, on either side
+    p = GaussianAtom((1.0,), 1j)
+    for q in (GaussianAtom((1.0,), 2j), GaussianAtom((1.0, 1.0), 1j), GaussianAtom((0.0,), 1j)):
+        for pair in ((p, q), (q, p)):
+            with pytest.raises(ValueError):
+                l2_distance(*pair)
 
 
 def test_real_inverse():
@@ -354,14 +337,14 @@ def test_pairing_nondegenerate_exhaustive():
 # -- Lie algebra and the holomorphic vector ---------------------------------------
 
 def test_lie_bracket():
-    # [A, B] = (1/eps) C on a generic vector, pointwise
+    # [A, B] = (1/eps) C on generic atoms, pointwise
     eps = 1.618033988749895
-    f = _sample_vector()
-    ab = lie_derivative(lie_derivative(f, "B", eps), "A", eps)
-    ba = lie_derivative(lie_derivative(f, "A", eps), "B", eps)
-    want = lie_derivative(f, "C", eps).scaled(1.0 / eps)
-    worst = max(abs(values(ab - ba, x) - values(want, x)) for x in XS)
-    assert worst < 1e-12
+    for f in _SAMPLE_ATOMS:
+        ab = lie_derivative(lie_derivative(f, "B", eps), "A", eps)
+        ba = lie_derivative(lie_derivative(f, "A", eps), "B", eps)
+        want = lie_derivative(f, "C", eps).scaled(1.0 / eps)
+        worst = max(abs(ab.value(x) - ba.value(x) - want.value(x)) for x in XS)
+        assert worst < 1e-12
 
 
 def test_holomorphic_vector_annihilated_exactly():
@@ -371,14 +354,14 @@ def test_holomorphic_vector_annihilated_exactly():
         eps = float(rng.uniform(0.2, 3.0))
         f = holomorphic_vector(tau, eps)
         res = holomorphic_residual(tau, f, eps)
-        # structural zero: every coefficient of every atom is exactly 0
-        assert all(z == 0 for at in res.atoms for z in at.poly)
+        # structural zero: every coefficient is exactly 0
+        assert res.is_zero() and all(z == 0 for z in res.poly)
 
 
 def test_holomorphic_residual_detects_mismatch():
     f = holomorphic_vector(0.3 + 1.1j, 1.0)
     res = holomorphic_residual(0.3 + 1.2j, f, 1.0)
-    assert max(abs(values(res, x)) for x in XS) > 1e-3
+    assert max(abs(res.value(x)) for x in XS) > 1e-3
 
 
 def test_holomorphic_vector_validation():
@@ -387,4 +370,4 @@ def test_holomorphic_vector_validation():
     with pytest.raises(ValueError):
         holomorphic_vector(1j, -2.0)
     with pytest.raises(ValueError):
-        lie_derivative(_sample_vector(), "D", 1.0)
+        lie_derivative(_SAMPLE_ATOMS[0], "D", 1.0)
