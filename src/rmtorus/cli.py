@@ -3,8 +3,8 @@
 Subcommands: fix, algebra, module-check, theta, ring.  Reports are JSON on
 standard output (keys sorted, floats in round-trip form, so identical
 invocations produce byte-identical bytes); diagnostics go to standard error.
-Exit codes: 0 success, 2 input validation failure, 3 numerical conditioning
-or tolerance failure.
+Exit codes: 0 success, 2 input validation failure, 3 a refused job or a numerical
+failure, such as a residual above the rounding bound derived from the inputs.
 
 One table, ``_COMMANDS``, declares each subcommand's runner, help line and
 options; an option's flag, config key, default and check come from it alone.
@@ -240,8 +240,27 @@ def _nanmax(*values) -> float:
     return max(values, key=lambda v: (v != v, v))
 
 
+def _gate(what: str, checks) -> None:
+    """Exit 3 unless every (key, residual, bound) has residual <= bound < 1; NaN never passes."""
+    for key, r, b in checks:
+        if not r <= b < 1:
+            raise ToleranceError(f"{what} {key}: residual {r:.3e} fails its rounding bound "
+                                 f"{b:.3e}" + ("" if b < 1 else ", which is not below 1"))
+
+
+def _algebra_bounds(support: int) -> dict:
+    """Each algebra residual's rounding bound, to first order in u = 2^-53 with room for the
+    second: a product of factors of at most k <= support terms is within E u |x| |y| of exact
+    (1-norms), E = 3(k + 2); a star within 3u |x|; a derivation's factor 2 pi (tau n + m) within
+    6u, and so a derivation of a product's error within E u (|dx| |y| + |x| |dy|)."""
+    E = 3 * (support + 2)
+    units = dict(uv_relation=8, associativity=4 * E, star_involution=6, star_antimult=2 * E + 9,
+                 tracial=2 * E, trace_positivity=E + 3, leibniz=2 * E + 13)
+    return {key: c * 2.0 ** -53 for key, c in units.items()}
+
+
 def _cmd_algebra(o: dict) -> dict:
-    theta, count, support, tol = o["theta"], o["count"], o["support"], o["tol"]
+    theta, count, support = o["theta"], o["count"], o["support"]
     if count * support > _MAX_ALGEBRA_DRAWS:
         raise ToleranceError(f"algebra: count*support = {count * support} exceeds the "
                              f"limit of {_MAX_ALGEBRA_DRAWS} drawn terms")
@@ -282,16 +301,14 @@ def _cmd_algebra(o: dict) -> dict:
             rhs = dx * y + x * dy
             res["leibniz"] = _nanmax(res["leibniz"], (lhs - rhs).norm1()
                                      / max(dx.norm1() * y.norm1() + x.norm1() * dy.norm1(), 1.0))
-    worst = _nanmax(*res.values())
-    if not worst <= tol:
-        raise ToleranceError(f"algebra residual {worst:.3e} exceeds tolerance {tol:.1e}")
-    return {"theta": {"canonical": str(theta), "value": float(theta)},
-            "count": count, "support": support, "residuals": res, "max_residual": worst}
+    _gate("algebra", [(key, res[key], b) for key, b in _algebra_bounds(support).items()])
+    return {"theta": {"canonical": str(theta), "value": float(theta)}, "count": count,
+            "support": support, "residuals": res, "max_residual": _nanmax(*res.values())}
 
 
 def _cmd_module_check(o: dict) -> dict:
     data = _data_of(o)
-    tau, degrees, tol = o["tau"], o["degrees"], o["tol"]
+    tau, degrees = o["tau"], o["degrees"]
     for n in degrees:
         # c_k grows with k (g is hyperbolic with c > 0), so the first c_k past
         # the limit bounds c_n without computing g^n for a huge n
@@ -301,42 +318,45 @@ def _cmd_module_check(o: dict) -> dict:
                 raise ToleranceError(f"module degree {n}: c_{n} >= {c} exceeds the probe "
                                      f"limit of {_MAX_PROBE_MODULUS} finite entries")
     try:
-        report = _module_report(data, tau, degrees)
+        report, checks = _module_report(data, tau, degrees)
     except (ValueError, OverflowError) as exc:
         raise ToleranceError(f"module residuals cannot be evaluated at tau = {tau}: {exc}") from None
-    if not report["max_residual"] <= tol:
-        raise ToleranceError(f"module residual {report['max_residual']:.3e} exceeds "
-                             f"tolerance {tol:.1e}")
+    _gate("module-check", checks)
     return report
 
 
-def _module_report(data: RMData, tau: complex, degrees: list[int]) -> dict:
-    """Relation residuals per degree and the real Heisenberg representation property
-    at epsilon and tau; max_residual is NaN if one is."""
+def _module_report(data: RMData, tau: complex, degrees: list[int]) -> tuple[dict, list]:
+    """Relation residuals per degree and the real Heisenberg representation property at
+    epsilon and tau (max_residual NaN if one is), and each (key, residual, bound).  For
+    real_rep_property, to first order in u, with M = (4|alpha| + 2/eps) Y and Y the largest
+    |y|: seven phases of argument below A = M Y turns, each within (3 + 16 pi A)u, and eleven
+    3u products give 64 (1 + 2 pi A)u; the betas, sums of terms below M, differ by 12 M u,
+    which l2_distance scales by 2 pi (|mu| + sqrt(var)) <= 2 pi (2Y + (8 pi Im alpha)^-1/2)."""
     report = {"theta": {"canonical": str(data.theta), "value": float(data.theta)},
               "g": data.g.to_list(), "tau": _complex_pair(tau), "degrees": {}}
-    worst = 0.0
+    checks = []
     for n in dict.fromkeys(degrees):  # each distinct degree once, in first-seen order
-        res = heis_module.module_residuals(data, n, tau)
+        res, bounds = heis_module.module_residuals(data, n, tau)
         report["degrees"][str(n)] = res
-        worst = _nanmax(worst, *(v for k, v in res.items() if k != "degree"))
+        checks += [(f"degrees.{n}.{key}", res[key], b) for key, b in bounds.items()]
 
-    # representation property of the real Heisenberg group at epsilon; both
-    # sides are one atom, compared by their relative L^2 distance
+    # representation property of the real Heisenberg group at epsilon on ten
+    # pairs of elements, each drawn as its phase, y1 and y2 in turn; both sides
+    # are one atom, compared by their relative L^2 distance
     G = RealHeisenberg(float(data.epsilon))
-    f = holomorphic_vector(tau, float(data.epsilon))
-    rep_real = 0.0
-    # ten pairs of elements, each drawn as its phase, y1 and y2 in turn
-    for a1, y11, y12, a2, y21, y22 in np.random.default_rng(0).normal(size=(10, 6)).tolist():
-        h1 = G.element(cmath.exp(1j * a1), y11, y12)
-        h2 = G.element(cmath.exp(1j * a2), y21, y22)
-        lhs = G.act(h1, G.act(h2, f))
-        rhs = G.act(G.mul(h1, h2), f)
-        rep_real = _nanmax(rep_real, l2_distance(lhs, rhs))
+    f = holomorphic_vector(tau, G.eps)
+    draws = np.random.default_rng(0).normal(size=(10, 6))
+    pairs = [(G.element(cmath.exp(1j * a1), y11, y12), G.element(cmath.exp(1j * a2), y21, y22))
+             for a1, y11, y12, a2, y21, y22 in draws.tolist()]
+    rep_real = _nanmax(*(l2_distance(G.act(h1, G.act(h2, f)), G.act(G.mul(h1, h2), f))
+                         for h1, h2 in pairs))
     report["heisenberg"] = {"real_rep_property": rep_real}
-    worst = _nanmax(worst, rep_real)
-    report["max_residual"] = worst
-    return report
+    Y = float(np.abs(draws[:, [1, 2, 4, 5]]).max())
+    M, width = (4 * abs(f.alpha) + 2 / G.eps) * Y, (8 * math.pi * f.alpha.imag) ** -0.5
+    bound = (64 * (1 + 2 * math.pi * M * Y) + 24 * math.pi * M * (2 * Y + width)) * 2.0 ** -53
+    checks.append(("heisenberg.real_rep_property", rep_real, bound))
+    report["max_residual"] = _nanmax(*(r for _, r, _ in checks))
+    return report, checks
 
 
 def _cmd_theta(o: dict) -> dict:
@@ -385,11 +405,11 @@ _COMMANDS = {
         "theta": _THETA, "max_trace": Opt(_maybe(_int), MAX_TRACE, int)}),
     "algebra": Command(_cmd_algebra, "torus algebra property suite on random elements", {
         "theta": _THETA, "count": Opt(_int, 100, int), "support": Opt(_int, 20, int),
-        "seed": _SEED, "tol": Opt(_tol, 1e-12, float)}),
+        "seed": _SEED}),
     "module-check": Command(_cmd_module_check, "bimodule, connection and representation checks", {
         "theta": _THETA, "g": _G, "tau": _TAU,
         "degrees": Opt(_degrees, "1,2", help="comma-separated module degrees"),
-        "tol": Opt(_tol, 1e-12, float), "max_trace": _MAX_TRACE}),
+        "max_trace": _MAX_TRACE}),
     "theta": Command(_cmd_theta, "certified theta constants", {
         "r": Opt(parse_fraction, required=True, help="rational characteristic, e.g. 1/3"),
         "m": Opt(_upper, required=True, help="modular parameter, \"a+bi\" with b>0"),

@@ -457,14 +457,20 @@ def relative_distance(p: ModuleElement, q: ModuleElement) -> float:
         return float(gap / top)
 
 
-def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j) -> dict:
-    """Named residuals of the bimodule relations on a probe vector: each the largest
-    relative_distance of a relation's two sides over its cases, NaN if one is."""
+def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j) -> tuple[dict, dict]:
+    """Named residuals of the bimodule relations on a probe vector, each the largest
+    relative_distance of a relation's two sides over its cases (NaN if one is), and their
+    rounding bound.  To first order in u = 2^-53: a side's two steps from beta = 0 each
+    translate by |t| <= T = max(eps_n, 1/c_n), evaluating e(alpha t^2 + beta t), or add
+    |s| <= S = max(1, 1/(c_n eps_n)) to beta, so with a turn for finite phases and e(theta)
+    no phase argument exceeds A_n = 1 + 3|alpha| T^2 + S T; four translations within
+    (3 + 16 pi A_n)u, five other phases within (3 + 6 pi)u and twelve 3u products sum to
+    below 32 (1 + 2 pi A_n)u."""
     from .qfield import unit_phase
 
-    c = data.power(degree).c
+    k = data.power(degree)
     probe = holomorphic_element(data, degree, tau,
-                                weights=FiniteVector([1.0 + 0.0j] * c))
+                                weights=FiniteVector([1.0 + 0.0j] * k.c))
     eth = unit_phase(data.theta)
     # the first step of every relation, taken once
     right = {b: right_act(b, probe) for b in ("U", "V")}
@@ -482,4 +488,6 @@ def module_residuals(data: RMData, degree: int, tau: complex = 0.3 + 1.1j) -> di
     }
     res = {name: float(np.max([relative_distance(a, b) for a, b in pairs]))
            for name, pairs in sides.items()}
-    return {"degree": degree, **res}
+    T, S = max(k.eps, 1.0 / k.c), max(1.0, 1.0 / (k.c * k.eps))
+    A = 1 + 1.5 * abs(tau) / k.eps * T * T + S * T
+    return {"degree": degree, **res}, dict.fromkeys(res, 32 * (1 + 2 * math.pi * A) * 2.0 ** -53)

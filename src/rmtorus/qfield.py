@@ -391,7 +391,9 @@ class SL2Matrix:
     @classmethod
     def from_list(cls, rows) -> "SL2Matrix":
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        if not all(type(x) is int for x in (a, b, c, d)):
+            raise ValueError("entries must be integers")
+        return cls(a, b, c, d)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -30,6 +31,13 @@ def _run(capsys, *argv):
 def _report(out):
     payload = json.loads(out)
     return payload["report"], payload
+
+
+def _gate_failure(err):
+    """(command, key, residual, bound) of a 'residual fails its rounding bound' exit."""
+    m = re.fullmatch(r"error: (\S+) (\S+): residual (\S+) fails its rounding bound (\S+)\n", err)
+    assert m, err
+    return m[1], m[2], float(m[3]), float(m[4])
 
 
 # -- parsing helpers --------------------------------------------------------------
@@ -127,7 +135,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
     (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", ","], None),
     (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", " "], None),
     # a JSON true or false is a bool, not a count
-    (["algebra", "--theta", "sqrt2"], {"count": True, "tol": True}),
+    (["algebra", "--theta", "sqrt2"], {"count": True}),
     (["algebra", "--theta", "sqrt2", "--count", "1"], {"seed": False}),
     (["ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]"], {"max_degree": True}),
 ])
@@ -147,14 +155,15 @@ def test_bad_integer_input_exits_2(tmp_path, capsys, argv, config):
     (["theta", "--r", "1/3", "--m", "0+2i", "--tol=nan"], None),
     (["theta", "--r", "1/3", "--m", "0+2i", "--tol=-1"], None),
     (["theta", "--r", "1/4", "--m", "0.3+1.1i", "--z", "0.1+0.2i", "--tol=inf"], None),
-    (["algebra", "--theta", "sqrt2", "--count", "2", "--tol", "nan"], None),
-    (["module-check", "--theta", "(-5+sqrt5)/10", "--tol", "nan"], None),
-    (["module-check", "--theta", "(-5+sqrt5)/10"], {"tol": "abc"}),
-    (["algebra", "--theta", "sqrt2", "--count", "1"], {"tol": True}),
-    (["module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "1"], {"tol": True}),
+    (["theta", "--r", "1/3", "--m", "0+2i", "--tol=1e-400"], None),
+    (["theta", "--r", "1/3", "--m", "0+2i", "--tol", "1e400"], None),
+    (["theta", "--r", "1/3", "--m", "0+2i"], {"tol": "abc"}),
+    (["theta", "--r", "1/3", "--m", "0+2i"], {"tol": True}),
+    (["theta", "--r", "1/4", "--m", "0.3+1.1i", "--z", "0.1+0.2i"], {"tol": None}),
 ])
 def test_bad_tolerance_exits_2(tmp_path, capsys, argv, config):
-    # a tolerance <= 0 or NaN would certify nothing or switch the residual gate off
+    # theta's tolerance: one <= 0, NaN or infinite would certify nothing, from a
+    # flag or from a config file alike
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -235,14 +244,41 @@ def test_non_finite_complex_exits_2(tmp_path, capsys, argv, config):
     assert "is beyond the double range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta, g", [
+    ("(-5+sqrt5)/10", [[-1, -1], [5.9, 4.9]]),
+    ("(-5+sqrt5)/10", [[-1, -1], [5, "4"]]),
+    ("(1+sqrt5)/2", [[2, True], [1, 1]]),
+    ("(-5+sqrt5)/10", [[-1, -1], [5, 1e400]]),
+], ids=["float", "string", "bool", "inf"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_g_takes_json_integers_only(tmp_path, capsys, theta, g, where):
+    # 5.9 used to be truncated to 5, "4" and true read as 4 and 1, each without
+    # a word; 1e400 (inf) ended in an OverflowError traceback
+    argv = ["module-check", "--theta", theta, "--degrees", "1"]
+    if where == "flag":
+        argv.append("--g=" + json.dumps(g).replace("Infinity", "1e400"))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": g}).replace("Infinity", "1e400"))
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse g ") and err.endswith(": entries must be integers\n")
+
+
 @pytest.mark.parametrize("tau, message", [
-    ("3e306+1i", "module residual nan exceeds tolerance 1.0e-12"),
+    ("3e306+1i", "module-check degrees.1.right_relation: residual 1.995e+00 fails its "
+                 "rounding bound inf, which is not below 1"),
     ("1e307+1i", "module residuals cannot be evaluated at tau = (1e+307+1j): math domain error"),
-], ids=["nan", "domain-error"])
+    ("0.3+1e-300i", "module-check heisenberg.real_rep_property: residual 1.414e+00 fails "
+                    "its rounding bound 1.663e+136, which is not below 1"),
+], ids=["nan", "domain-error", "flat-probe"])
 def test_module_check_at_huge_tau_exits_3(capsys, tau, message):
-    # the curvature's coefficients overflow to NaN, which max() and a "worst >
-    # tol" gate let through as a pass, or an atom's translation raises a math
-    # domain error; no numpy warning reaches stderr
+    # at 3e306+1i the phases' arguments put every rounding bound above 1 (and
+    # the curvature's coefficients overflow to NaN); at 1e307+1i an atom's
+    # translation raises a math domain error; at Im tau = 1e-300 the probe's
+    # width does the same to real_rep_property's bound.  No numpy warning
+    # reaches stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
@@ -274,7 +310,8 @@ def test_algebra_nan_residual_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(TorusElement, "trace", nan_on_the_second_call)
     code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "2", "--support", "3")
     assert (code, out) == (3, "")
-    assert err == "error: algebra residual nan exceeds tolerance 1.0e-12\n"
+    assert err == (f"error: algebra tracial: residual nan fails its rounding bound "
+                   f"{cli._algebra_bounds(3)['tracial']:.3e}\n")
 
 
 def test_large_radicand_is_refused_up_front(capsys):
@@ -359,12 +396,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, argv, config):
 
 def test_config_takes_every_option_of_the_subcommand(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta": "sqrt2", "count": 2, "support": 3, "seed": 4,
-                               "tol": 1e-12}))
+    cfg.write_text(json.dumps({"theta": "sqrt2", "count": 2, "support": 3, "seed": 4}))
     code, out, _ = _run(capsys, "algebra", "--config", str(cfg))
     assert code == 0
     assert _report(out)[1]["config"] == {"theta": "sqrt2", "count": 2, "support": 3,
-                                         "seed": 4, "tol": 1e-12}
+                                         "seed": 4}
     # max_trace is a config-only option of module-check and ring; hitting the
     # cap is a search failure, exit 3 as in fix
     cfg.write_text(json.dumps({"theta": "(-5+sqrt5)/10", "max_trace": 2}))
@@ -401,16 +437,11 @@ def test_algebra_passes(capsys):
 def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
     # the box code against the dict-of-terms reference of every TorusElement
     # operation, the pair-loop product included.  Each residual is the
-    # rounding error of an exact identity, so on both runs it lies within a
-    # bound, and so does the difference of the two runs.  To first order in u,
-    # with room for the second: a product of factors with at most k <= support
-    # terms is within E = 3(support + 2) u ||x||_1 ||y||_1 of exact on either
-    # side (test_torus_alg._product_bound), a star within 3u ||x||_1, and a
-    # derivation's factor 2*pi*(tau*n + m) is rounded within 6u.  The factor
-    # is additive in the exponents, so a derivation of a product's rounding
-    # error stays within E u D, D = ||dx||_1 ||y||_1 + ||x||_1 ||dy||_1, and
-    # leibniz, divided by max(D, 1), is within (2E + 13) u
-    from test_torus_alg import _REFERENCE, _U
+    # rounding error of an exact identity, so on both runs it lies within the
+    # bound that the CLI derives (cli._algebra_bounds; E = 3(support + 2) is
+    # test_torus_alg._product_bound's constant), and so does the difference
+    # of the two runs
+    from test_torus_alg import _REFERENCE
 
     argvs = [["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"],
              ["algebra", "--theta", "(-5+sqrt5)/10", "--count", "3", "--support", "12",
@@ -422,17 +453,42 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
     assert [code for code, _ in got + want] == [0, 0, 0, 0]
     for (_, out), (_, ref_out) in zip(got, want):
         rep, ref = _report(out)[0], _report(ref_out)[0]
-        E = 3 * (rep["support"] + 2)
-        bounds = {"uv_relation": 8, "associativity": 4 * E, "star_involution": 6,
-                  "star_antimult": 2 * E + 9, "tracial": 2 * E, "trace_positivity": E + 3,
-                  "leibniz": 2 * E + 13}
+        bounds = cli._algebra_bounds(rep["support"])
         assert set(rep["residuals"]) == set(ref["residuals"]) == set(bounds)
-        for key, c in bounds.items():
+        for key, bound in bounds.items():
             values = rep["residuals"][key], ref["residuals"][key]
-            assert 0.0 <= min(values) and max(values) <= c * _U * (1 + 1e-9), (key, values)
+            assert 0.0 <= min(values) and max(values) <= bound * (1 + 1e-9), (key, values)
         for r in (rep, ref):
             assert r.pop("max_residual") == max(r.pop("residuals").values())
         assert rep == ref
+
+
+def test_algebra_gate_sees_a_small_defect(capsys, monkeypatch):
+    # a star off by a relative 1e-13, which a fixed 1e-12 gate let through,
+    # is far above star_involution's bound of 6u
+    star = TorusElement.star
+    monkeypatch.setattr(TorusElement, "star", lambda self: star(self).scaled(1 + 1e-13))
+    code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "10", "--support", "20")
+    assert (code, out) == (3, "")
+    what, key, residual, bound = _gate_failure(err)
+    assert (what, key, bound) == ("algebra", "star_involution", float(f"{6 * 2.0 ** -53:.3e}"))
+    assert 1.9e-13 < residual < 2.1e-13
+
+
+@pytest.mark.parametrize("sub", ["algebra", "module-check"])
+def test_algebra_and_module_check_have_no_tol_option(tmp_path, capsys, sub):
+    # each residual is gated on a bound derived from the inputs: no flag, no config key
+    argv = [sub, "--theta", "sqrt2", "--count", "1"] if sub == "algebra" else \
+        [sub, "--theta", "(-5+sqrt5)/10", "--degrees", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-3}))
+    code, out, err = _run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {sub}: unknown config key(s) 'tol'\n"
 
 
 def test_algebra_leibniz_is_relative_to_its_own_terms(capsys):
@@ -458,13 +514,6 @@ def test_fix_values_match_mpmath_float():
     for t in forms:
         for theta in (sign * t + k for sign in (1, -1) for k in range(-5, 6)):
             assert float(theta) == _mpmath_float(theta)
-
-
-def test_algebra_impossible_tolerance(capsys):
-    code, _, err = _run(capsys, "algebra", "--theta", "sqrt2",
-                        "--count", "3", "--support", "5", "--tol", "1e-300")
-    assert code == 3
-    assert "tolerance" in err
 
 
 def test_algebra_refuses_oversized_draws_up_front(capsys, monkeypatch):
@@ -579,6 +628,45 @@ def test_module_check_report_matches_reference_operators(capsys, monkeypatch):
     monkeypatch.setattr(heis_rep.RealHeisenberg, "act", _unfused_real_act)
     assert got == [_run(capsys, *argv)[:2] for argv in argvs]
     assert [code for code, _ in got] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("tau", ["0.3+1e-9i", "0.3+1e-15i", "1000+1.1i", "1e6+1.1i"])
+def test_module_check_gates_on_bounds_that_follow_tau(capsys, tau):
+    # every residual is rounding: real_rep_property grows like 1/sqrt(Im tau)
+    # (1.8e-11 at 1e-9i, 1.8e-8 at 1e-15i) and the relations like |tau|
+    # (2.5e-10 at 1e6), each within its derived bound; a fixed 1e-12 gate
+    # failed all four
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
+                          "--degrees", "1,2,3")
+    assert (code, err) == (0, "")
+    assert _report(out)[0]["max_residual"] > 1e-12
+
+
+class _FirstPhaseOff(heis_rep.FiniteHeisenberg):
+    """Finite steps whose first phase is off by a relative 1e-13."""
+
+    def step(self, h):
+        targets, phases = super().step(h)
+        return targets, [phases[0] * (1 + 1e-13)] + phases[1:]
+
+
+@pytest.mark.parametrize("defect, key, expected", [
+    ("step", "degrees.1.right_relation", lambda r: 0.9e-13 < r < 1.1e-13),
+    ("nan", "degrees.1.curvature", math.isnan),
+], ids=["step", "nan"])
+def test_module_check_gate_sees_a_small_defect(capsys, monkeypatch, defect, key, expected):
+    # a generator step off by a relative 1e-13, which a fixed 1e-12 gate let
+    # through, and a NaN at an ordinary tau both exit 3, naming the key
+    if defect == "step":
+        monkeypatch.setattr(heis_module, "FiniteHeisenberg", _FirstPhaseOff)
+    else:
+        monkeypatch.setattr(heis_module, "curvature_scalar", lambda data, degree: complex("nan"))
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", "--degrees", "1")
+    assert (code, out) == (3, "")
+    what, got_key, residual, bound = _gate_failure(err)
+    assert (what, got_key) == ("module-check", key)
+    assert expected(residual)
+    assert bound < 6e-14
 
 
 def test_module_check_rejects_real_tau(capsys):
