@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt
 
+import numpy as np
+
 _RATIONAL_D = 2
 
 # QuadIrr.parse refuses a larger radicand; its squarefree split then tries <= 10^4 divisors
@@ -52,7 +54,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class QuadIrr:
     """Element (p + q*sqrt(D))/r of a real quadratic field (or of Q)."""
 
-    __slots__ = ("p", "q", "r", "D", "_hash")
+    __slots__ = ("p", "q", "r", "D", "_hash", "_row")  # the last two are set on first use
 
     def __init__(self, p: int, q: int, r: int, D: int):
         if r == 0:
@@ -622,3 +624,15 @@ def unit_phase(t: QuadIrr, k: int = 1) -> complex:
     p, q = t.p * k, t.q * k
     frac = _to_float(p - _floor(p, q, t.D, t.r) * t.r, q, t.D, t.r)
     return cmath.exp(2j * math.pi * frac)
+
+
+def conj_phase_row(t: QuadIrr, k: int, limit: int) -> np.ndarray | None:
+    """t's row of conj(unit_phase(t, j)) for j in [-K, K], K >= k, kept on t and dying with it.
+    It grows to k only if 2k + 1 <= limit, the caller's cell count; None if it falls short."""
+    row = getattr(t, "_row", np.zeros(0, complex))
+    K = (len(row) - 1) // 2
+    if K < k and 2 * k + 1 <= limit:
+        new = np.array([unit_phase(t, j) for j in range(-k, k + 1) if abs(j) > K], complex).conj()
+        row = np.concatenate((new[:k - K], row, new[k - K:]))
+        object.__setattr__(t, "_row", row)
+    return row if len(row) > 2 * k else None

@@ -15,24 +15,27 @@ Multiplication is the bilinear extension of
     (n, m) * (p, q)  ->  conj(e(theta*m*p)) * (n+p, m+q),
 
 a twisted convolution: the right factor's rows p are scaled by
-conj(e(theta*m*p)), one phase per distinct m*p, and each column m of the left
-factor is convolved with them along n, all columns in one batched Toeplitz
-matmul.  The star is a_{n,m} -> conj(a_{n,m}) * conj(e(theta*n*m)) placed at
-(-n,-m), the trace is the (0,0) coefficient, and the derivations act
-diagonally: delta_1 = 2*pi*i*n, delta_2 = 2*pi*i*m, delta_tau = tau*delta_1 +
-delta_2.  For a QuadIrr theta every phase argument is reduced mod 1 exactly.
+conj(e(theta*m*p)), and each column m of the left factor is convolved with
+them along n, all columns in one batched Toeplitz matmul.  The star is
+a_{n,m} -> conj(a_{n,m}) * conj(e(theta*n*m)) placed at (-n,-m), the trace
+is the (0,0) coefficient, and the derivations act diagonally: delta_1 =
+2*pi*i*n, delta_2 = 2*pi*i*m, delta_tau = tau*delta_1 + delta_2.  For a QuadIrr
+theta every phase argument is reduced mod 1 exactly: a product or star indexes
+theta's row of conj(e(k*theta)) (qfield.conj_phase_row), or, on a grid too
+sparse to grow that row, takes one phase() per distinct k, as a float theta does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .qfield import QuadIrr, unit_phase
+from .qfield import QuadIrr, conj_phase_row, unit_phase
 
 _TWO_PI_I = 2j * math.pi
 
@@ -53,13 +56,13 @@ class TorusElement:
 
     ``lo`` is the corner (n0, m0) of the box ``a``: a[i, j] is the coefficient
     of U^(n0+i) V^(m0+j).  Zero is the 1x1 box at the origin.  Operations share
-    boxes; none is written after it is built.
+    boxes; none is written after it is built.  Exponents must be integers.
     """
 
     __slots__ = ("theta", "lo", "a")
 
     def __init__(self, theta, coeffs=None):
-        coeffs = {(int(n), int(m)): complex(c) for (n, m), c in (coeffs or {(0, 0): 0}).items()}
+        coeffs = {_exponents(k): complex(c) for k, c in (coeffs or {(0, 0): 0}).items()}
         ns, ms = zip(*coeffs)
         lo = (min(ns), min(ms))
         a = np.zeros(_checked(max(ns) - lo[0] + 1, max(ms) - lo[1] + 1), complex)
@@ -132,7 +135,7 @@ class TorusElement:
         # the window and block stacks below hold ma*rows*nb and ma*rows*mb cells
         rows = _checked(na + nb - 1, ma * max(nb, mb))[0]
         # bm[j]: b's rows flipped, row p times conj(e(theta*m*p)) for column j's m = m0 + j
-        w = _conj_phases(self.theta, _grid(m0, ma, p0, nb))
+        w = _conj_phases(self.theta, m0, ma, p0, nb)
         bm = w[:, ::-1, None] * b[::-1]
         # pad[j] is column j of a between nb - 1 zeros on each side; its window
         # r times bm[j] sums the pairs with n + p = n0 + p0 + r
@@ -151,7 +154,7 @@ class TorusElement:
         (n0, m0), (n, m) = self.lo, self.a.shape
         lo = (1 - n0 - n, 1 - m0 - m)
         # (-n)*(-m) = n*m: each cell's phase from its new exponents
-        w = _conj_phases(self.theta, _grid(lo[0], n, lo[1], m))
+        w = _conj_phases(self.theta, lo[0], n, lo[1], m)
         return _element(self.theta, lo, self.a[::-1, ::-1].conj() * w)
 
     def trace(self) -> complex:
@@ -205,16 +208,25 @@ def _element(theta, lo: tuple[int, int], a: np.ndarray) -> TorusElement:
     return el
 
 
-def _grid(a0: int, na: int, b0: int, nb: int) -> np.ndarray:
-    """The exact products (a0 + i)*(b0 + j): int64 where they fit, Python ints beyond."""
-    big = max(abs(a0), abs(a0 + na - 1), 1) * max(abs(b0), abs(b0 + nb - 1), 1) >= 1 << 63
-    dtype = object if big else np.int64
-    return np.multiply.outer(np.arange(a0, a0 + na, dtype=dtype),
-                             np.arange(b0, b0 + nb, dtype=dtype))
+def _exponents(key) -> tuple[int, int]:
+    """(n, m) as ints; a key that is not a pair of integers raises TypeError naming it."""
+    try:
+        n, m = key
+        return operator.index(n), operator.index(m)
+    except (TypeError, ValueError):
+        raise TypeError(f"exponents {key!r} are not a pair of integers") from None
 
 
-def _conj_phases(theta, k: np.ndarray) -> np.ndarray:
-    """conj(e(theta*k)) for each entry of an integer array, one phase() per distinct entry."""
+def _conj_phases(theta, a0: int, na: int, b0: int, nb: int) -> np.ndarray:
+    """conj(e(theta*k)) over the exact products k = (a0 + i)*(b0 + j), int64 where they fit:
+    from a QuadIrr theta's row if the grid may grow it, else one phase() per distinct k."""
+    ka, kb = max(abs(a0), abs(a0 + na - 1)), max(abs(b0), abs(b0 + nb - 1))
+    dtype = object if max(ka, 1) * max(kb, 1) >= 1 << 63 else np.int64
+    k = np.multiply.outer(np.arange(a0, a0 + na, dtype=dtype), np.arange(b0, b0 + nb, dtype=dtype))
+    if dtype is np.int64 and isinstance(theta, QuadIrr):
+        row = conj_phase_row(theta, ka * kb, k.size)
+        if row is not None:
+            return row[k + len(row) // 2]
     distinct, inverse = np.unique(k, return_inverse=True)
     table = np.array([phase(theta, d) for d in distinct.tolist()], complex).conj()
     return table[inverse].reshape(k.shape)

@@ -463,6 +463,22 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
         assert rep == ref
 
 
+def test_algebra_job_leaves_no_phase_state(capsys):
+    # theta's row of phases dies with the job: a second run from an empty
+    # unit_phase cache looks up as many phases as the first
+    from rmtorus.qfield import unit_phase
+
+    argv = ["algebra", "--theta", "(1+sqrt13)/2", "--count", "4", "--support", "12"]
+    misses, outs = [], []
+    for _ in range(2):
+        unit_phase.cache_clear()
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        misses.append(unit_phase.cache_info().misses)
+        outs.append(out)
+    assert misses[0] == misses[1] > 0 and outs[0] == outs[1]
+
+
 def test_algebra_gate_sees_a_small_defect(capsys, monkeypatch):
     # a star off by a relative 1e-13, which a fixed 1e-12 gate let through,
     # is far above star_involution's bound of 6u

@@ -16,6 +16,7 @@ from rmtorus.qfield import (
     SL2Matrix,
     _squarefree_split,
     cf_expand,
+    conj_phase_row,
     fixing_matrix,
     fundamental_discriminant,
     in_theta_lattice,
@@ -497,3 +498,25 @@ def test_unit_phase_cache_is_bounded():
     unit_phase.cache_clear()
     assert unit_phase.cache_info().currsize == 0
     assert [unit_phase(t, k) for t in ALL_THETAS for k in (-61, 1, 3600)] == before
+
+
+@given(quad_irrs, st.lists(st.integers(0, 200), min_size=1, max_size=5))
+def test_conj_phase_row_holds_exact_phases(t, ks):
+    # each entry is conj(unit_phase(t, j)) whatever order the row grew in
+    for k in ks:
+        row = conj_phase_row(t, k, 401)
+        K = len(row) // 2
+        assert len(row) == 2 * K + 1 and K >= k
+        assert row.tolist() == [unit_phase(t, j).conjugate() for j in range(-K, K + 1)]
+
+
+def test_conj_phase_row_grows_only_within_its_limit():
+    t = QuadIrr.parse("(1+sqrt5)/2")
+    assert conj_phase_row(t, 10, 20) is None  # 21 entries for a grid of 20 cells
+    row = conj_phase_row(t, 10, 21)
+    assert len(row) == 21
+    assert conj_phase_row(t, 4, 1) is row  # covered already: no limit applies
+    assert conj_phase_row(t, 11, 22) is None and conj_phase_row(t, 0, 1) is row
+    # the row lives on the instance: an equal theta parsed again starts afresh
+    twin = QuadIrr.parse("(1+sqrt5)/2")
+    assert twin == t and len(conj_phase_row(twin, 0, 1)) == 1

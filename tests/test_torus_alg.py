@@ -1,13 +1,15 @@
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from rmtorus.qfield import QuadIrr
-from rmtorus.torus_alg import TorusElement, phase
+from rmtorus.qfield import QuadIrr, conj_phase_row
+from rmtorus.torus_alg import _MAX_CELLS, TorusElement, phase
 
 GOLDEN = QuadIrr.parse("(1+sqrt5)/2")
 TEST5 = QuadIrr.parse("(-5+sqrt5)/10")
@@ -186,6 +188,128 @@ def test_kernel_on_sparse_exponents():
     _close(x * x, _reference_mul(x, x), _product_bound(x, x))
     _close(x * x.star(), _reference_mul(x, x.star()), _product_bound(x, x))
     _close(x.star(), _REFERENCE["star"](x), 6 * _U * _exact_norm(x))
+
+
+def _distinct_conj_phases(theta, a0, na, b0, nb):
+    """conj(e(theta*k)) over the grid k = (a0 + i)*(b0 + j), one phase() per
+    distinct k, with k in Python ints where int64 would overflow."""
+    big = max(abs(a0), abs(a0 + na - 1), 1) * max(abs(b0), abs(b0 + nb - 1), 1) >= 1 << 63
+    dtype = object if big else np.int64
+    k = np.multiply.outer(np.arange(a0, a0 + na, dtype=dtype), np.arange(b0, b0 + nb, dtype=dtype))
+    distinct, inverse = np.unique(k, return_inverse=True)
+    table = np.array([phase(theta, d) for d in distinct.tolist()], complex).conj()
+    return table[inverse].reshape(k.shape)
+
+
+def _column_loop_mul(x, y):
+    """(lo, box) of x*y by the column-loop kernel: each column of x's Toeplitz
+    block added into the output in column order, phases from the distinct k."""
+    (n0, m0), (p0, q0) = x.lo, y.lo
+    (na, ma), (nb, mb) = x.a.shape, y.a.shape
+    bm = _distinct_conj_phases(x.theta, m0, ma, p0, nb)[:, ::-1, None] * y.a[::-1]
+    pad = np.zeros((ma, na + 2 * nb - 2), complex)
+    pad[:, nb - 1:nb - 1 + na] = x.a.T
+    blocks = sliding_window_view(pad, nb, axis=1) @ bm
+    out = np.zeros((na + nb - 1, ma + mb - 1), complex)
+    for j, block in enumerate(blocks):
+        out[:, j:j + mb] += block
+    return (n0 + p0, m0 + q0), out
+
+
+def _distinct_star(x):
+    (n0, m0), (n, m) = x.lo, x.a.shape
+    lo = (1 - n0 - n, 1 - m0 - m)
+    return lo, x.a[::-1, ::-1].conj() * _distinct_conj_phases(x.theta, lo[0], n, lo[1], m)
+
+
+def _shifted(theta, coeffs, shift):
+    return TorusElement(theta, {(n + shift[0], m + shift[1]): c for (n, m), c in coeffs.items()})
+
+
+_FAR = {(2**62, -2**62): 1.5 - 2j}
+# dense 9x9 boxes: each product cell sums terms from up to 9 columns, so an
+# addition order other than the column loop's shows in the last bits
+_DENSE = [dict(zip([(n, m) for n in range(-4, 5) for m in range(-4, 5)],
+                   map(complex, *np.random.default_rng(seed).normal(size=(2, 81)))))
+          for seed in (16, 17)]
+
+
+@given(theta=st.one_of(quad_irrs, st.floats(-10, 10)), xs=supports, ys=supports,
+       dx=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       dy=st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+@example(theta=GOLDEN, xs={}, ys={}, dx=(0, 0), dy=(0, 0))
+@example(theta=GOLDEN, xs={}, ys={(3, -15): 1 + 2j}, dx=(0, 0), dy=(7, 9))
+@example(theta=TEST5, xs={(-7, 11): -0.5j}, ys={}, dx=(-30, 25), dy=(0, 0))
+@example(theta=GOLDEN, xs=_FAR, ys=_FAR, dx=(0, 0), dy=(0, 0))
+@example(theta=TEST5, xs=_DENSE[0], ys=_DENSE[1], dx=(0, 0), dy=(0, 0))
+@example(theta=GOLDEN, xs=_DENSE[1], ys=_DENSE[0], dx=(20, -30), dy=(-7, 11))
+@example(theta=0.3178, xs={(1, 2): 1j, (-4, 5): 2.0}, ys={(6, -6): 1.0, (0, 0): -1j},
+         dx=(0, 0), dy=(0, 0))
+def test_product_and_star_bit_for_bit(theta, xs, ys, dx, dy):
+    # theta's row of exact phases changes no bit of the column loop with one
+    # phase() per distinct k, on grids that grow the row, that reuse it, that
+    # are too sparse for it and that have a float theta
+    x, y = _shifted(theta, xs, dx), _shifted(theta, ys, dy)
+    lo, box = _column_loop_mul(x, y)
+    got = x * y
+    assert got.lo == lo and np.array_equal(got.a, box)
+    for el in (x, y, got):
+        lo, box = _distinct_star(el)
+        got = el.star()
+        assert got.lo == lo and np.array_equal(got.a, box)
+
+
+def _peak_mib(op) -> float:
+    """The most memory, in MiB, that op() holds at once, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_memory_stays_within_the_cap():
+    # no array of a product exceeds _MAX_CELLS cells (1 MiB), and a product
+    # peaks within twice that: a 1x1000 by 1x1 product and a 37x37 by 13x13
+    # one peaked at 0.08 and 0.56 MiB with one phase() per distinct k.  The
+    # last pair's block stack holds half the cap
+    def box(n, m):
+        return TorusElement(GOLDEN, {(i - n // 2, j - m // 2): complex(i, j)
+                                     for i in range(n) for j in range(m)})
+
+    pairs = [(box(1, 1000), box(1, 1)), (box(37, 37), box(13, 13)), (box(16, 32), box(17, 33))]
+    for x, y in pairs:
+        assert _peak_mib(lambda: x * y) <= 2.0
+
+
+def test_phase_row_stays_within_the_cap():
+    # theta's row grows to a grid's largest |k| only while 2|k| + 1 is at most
+    # the grid's cells, so it never holds more than _MAX_CELLS phases
+    theta = QuadIrr.parse("sqrt3")
+    far = TorusElement.monomial(theta, 0, 300) * TorusElement.monomial(theta, 300, 0)
+    assert far.lo == (300, 300)
+    assert len(conj_phase_row(theta, 0, 1)) == 1  # k = 90000 on one cell left no row
+    widest = TorusElement(theta, {(n, m): 1.0 for n in (-127, 127) for m in (-128, 127)})
+    widest.star()  # 255x256 cells, |n*m| <= 127*128
+    row = conj_phase_row(theta, 0, 1)
+    assert len(row) == 2 * 127 * 128 + 1 <= _MAX_CELLS
+    assert all(row[k + len(row) // 2] == phase(theta, k).conjugate() for k in (-16256, -1, 0, 5, 16256))
+    line = TorusElement(theta, {(100, 0): 1.0, (100, 200): 1.0})
+    line.star()  # |k| up to 20000 > 16256 on 201 cells: the row stays as it was
+    assert conj_phase_row(theta, 0, 1) is row
+
+
+def test_exponents_must_be_integers():
+    # a float exponent was once truncated without a word: U^1.5 V^0.9 became U
+    with pytest.raises(TypeError, match=r"\(1\.5, 0\.9\)"):
+        TorusElement(GOLDEN, {(1.5, 0.9): 1})
+    with pytest.raises(TypeError, match=r"\(2\.7, -0\.5\)"):
+        TorusElement.monomial(GOLDEN, 2.7, -0.5)
+    with pytest.raises(TypeError, match="not a pair of integers"):
+        TorusElement(GOLDEN, {(1, 2, 3): 1})
+    x = TorusElement(GOLDEN, {(np.int64(2), np.int32(-1)): 1.0})
+    assert x.coeffs == {(2, -1): 1} and type(x.lo[0]) is int
 
 
 def _operand_pairs():
