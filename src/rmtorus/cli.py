@@ -138,7 +138,7 @@ class Opt(NamedTuple):
     """One option of a subcommand: its check, default and flag."""
     check: Callable               # (value, config key) -> what the runner reads
     default: object = None
-    type: Callable | None = str   # of the flag; None: a config key only
+    type: Callable = str          # of the flag
     help: str | None = None
     required: bool = False        # None or "" is then a missing option
 
@@ -189,7 +189,7 @@ def _data_of(o: dict) -> RMData:
         raise InputError("theta must be a quadratic irrationality, not rational")
     if g is None:
         try:
-            g = fixing_matrix(theta, o["max_trace"] or MAX_TRACE)
+            g = fixing_matrix(theta, o.get("max_trace") or MAX_TRACE)
         except ValueError as exc:
             raise ToleranceError(f"no fixing matrix found: {exc}") from None
     try:
@@ -342,10 +342,14 @@ def _module_report(data: RMData, tau: complex, degrees: list[int]) -> tuple[dict
 
     # representation property of the real Heisenberg group at epsilon on ten
     # pairs of elements, each drawn as its phase, y1 and y2 in turn; both sides
-    # are one atom, compared by their relative L^2 distance
+    # are one atom, compared by their relative L^2 distance.  Translating f by t
+    # scales it by exp(-2 pi Im alpha t^2), t = y21 or y11 + y21; the y are scaled
+    # to keep that above e^-700, a margin over the smallest normal double e^-708.4
     G = RealHeisenberg(float(data.epsilon))
     f = holomorphic_vector(tau, G.eps)
     draws = np.random.default_rng(0).normal(size=(10, 6))
+    T = float(np.abs(np.concatenate((draws[:, 4], draws[:, 1] + draws[:, 4]))).max())
+    draws[:, [1, 2, 4, 5]] *= min(1.0, math.sqrt(700 / (2 * math.pi * f.alpha.imag)) / T)
     pairs = [(G.element(cmath.exp(1j * a1), y11, y12), G.element(cmath.exp(1j * a2), y21, y22))
              for a1, y11, y12, a2, y21, y22 in draws.tolist()]
     rep_real = _nanmax(*(l2_distance(G.act(h1, G.act(h2, f)), G.act(G.mul(h1, h2), f))
@@ -396,8 +400,6 @@ def _cmd_ring(o: dict) -> dict:
 _THETA = Opt(parse_theta, required=True)
 _G = Opt(_maybe(lambda val, name: parse_matrix(val if isinstance(val, str) else json.dumps(val))))
 _TAU = Opt(_upper, "0.3+1.1i", required=True)
-# the fixing-matrix search cap when no g is given; config-only but in fix
-_MAX_TRACE = Opt(_maybe(_int), type=None)
 _SEED = Opt(_nonneg, 0, int)
 
 _COMMANDS = {
@@ -408,8 +410,7 @@ _COMMANDS = {
         "seed": _SEED}),
     "module-check": Command(_cmd_module_check, "bimodule, connection and representation checks", {
         "theta": _THETA, "g": _G, "tau": _TAU,
-        "degrees": Opt(_degrees, "1,2", help="comma-separated module degrees"),
-        "max_trace": _MAX_TRACE}),
+        "degrees": Opt(_degrees, "1,2", help="comma-separated module degrees")}),
     "theta": Command(_cmd_theta, "certified theta constants", {
         "r": Opt(parse_fraction, required=True, help="rational characteristic, e.g. 1/3"),
         "m": Opt(_upper, required=True, help="modular parameter, \"a+bi\" with b>0"),
@@ -418,7 +419,7 @@ _COMMANDS = {
         "tol": Opt(_tol, 1e-14, float)}),
     "ring": Command(_cmd_ring, "graded coordinate ring report", {
         "theta": _THETA, "g": _G, "tau": _TAU, "max_degree": Opt(_int, 3, int),
-        "assoc_triples": Opt(_nonneg, 20, int), "seed": _SEED, "max_trace": _MAX_TRACE}),
+        "assoc_triples": Opt(_nonneg, 20, int), "seed": _SEED}),
 }
 
 
@@ -428,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for key, opt in command.options.items():
-            if opt.type:
-                p.add_argument("--" + key.replace("_", "-"), type=opt.type, help=opt.help)
+            p.add_argument("--" + key.replace("_", "-"), type=opt.type, help=opt.help)
         p.add_argument("--config", help="JSON file of option defaults")
         p.add_argument("--output", help="also write the report to this path")
     return ap

@@ -75,10 +75,8 @@ _QUADRATIC_RANK_TOL = 1e-7
 # work budget of one structure tensor: c_{m+n}*c_m*c_n entries (T(1, 5) of
 # the README data holds 990,000), and folded labels times 2N+1 theta terms.
 # The entry budget also caps the associativity batch at triples*c_3 entries.
-# Both the terms and the witness's averaging series grow like 1/sqrt(Im tau);
-# near real tau the witness takes nearly all the time, 4.8 of 4.8 s for
-# README-data degree 2 at Im tau = 1e-7 on a 2-vCPU Xeon (125,965 label
-# terms in T(2, 1); 2.9e5 series terms per j in the T(1, 2) witness).
+# Both the terms and the witness's averaging series grow like 1/sqrt(Im tau),
+# and near real tau the witness takes nearly all of a tensor's time.
 _MAX_TENSOR_ENTRIES = 10 ** 6
 _MAX_LABEL_TERMS = 2 * 10 ** 5
 
@@ -188,8 +186,9 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     _WITNESS_TOL: for holomorphic factors its one output term is f_{tau,m+n}
     times the coefficients over j, which are read as T[:, 0, 0].  max_residual
     is the largest of the entry bound and the witness's gap to T[:, 0, 0],
-    both relative to max|T|, and the witness's own max_residual.  A
-    non-finite entry bound raises RingRefused before the witness is built.
+    both relative to max|T|, and the witness's own max_residual.  An entry
+    bound that is not below max|T|, which leaves no entry meaningful, raises
+    RingRefused before the witness is built.
     """
     step, den, level, N = label_plan(m, n, data, tau)
     mt = level * complex(tau)
@@ -197,15 +196,15 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTen
     values = theta_partial(nums, den, mt, N)
     bound = tail_bound(N, Fraction(int(nums[-1]), den), mt.imag) + float(
         np.max(rounding_bound(nums, den, mt, N)))
-    if not math.isfinite(bound):
-        raise RingRefused(f"T({m}, {n}): the theta entries cannot be certified "
-                          f"at tau = {complex(tau)} (entry bound {bound})")
     k = tensor_labels(m, n, data) // step   # -1 where T is 0, which picks the appended 0
     T = np.append(values, 0.0)[np.minimum(k, den // step - k)]
+    scale = float(np.max(np.abs(T)))
+    if not bound < scale:
+        raise RingRefused(f"T({m}, {n}): the theta entries cannot be certified at tau = "
+                          f"{complex(tau)} (entry bound {bound}, max|T| {scale})")
     prod, prep = balanced_product(holomorphic_element(data, m, tau),
                                   holomorphic_element(data, n, tau), tol=_WITNESS_TOL)
     ((_, witness),) = prod.terms
-    scale = float(np.max(np.abs(T)))
     gap = float(np.max(np.abs(np.array(witness.entries) - T[:, 0, 0])))
     worst = max(bound / scale, gap / scale, prep["max_residual"])
     return StructureTensor((m, n), T, data.power(n).a, worst, bound)

@@ -345,9 +345,7 @@ def balanced_product(xi: ModuleElement, eta: ModuleElement, *, tol: float = 1e-9
 
     # grid: +-4 standard deviations of the widest target Gaussian, 8 points per basis
     # column, the solve's unknowns (the c_N outputs are right-hand sides)
-    min_im = min(alpha.imag for alpha, _ in cols)
-    if min_im <= 0:
-        raise ValueError("target atoms must decay (Im alpha_N > 0)")
+    min_im = min(alpha.imag for alpha, _ in cols)  # > 0, as every atom has Im alpha > 0
     sigma = 1.0 / (2.0 * math.sqrt(math.pi * min_im))
     max_deg = max(cols.values())
     halfwidth = 4.0 * sigma * (1.0 + 0.15 * max_deg)

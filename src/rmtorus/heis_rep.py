@@ -93,24 +93,15 @@ class GaussianAtom:
         return GaussianAtom(tuple(z * c for c in self.poly), self.alpha, self.beta)
 
     def translate(self, t) -> "GaussianAtom":
-        """Atom of x -> value(x + t)."""
+        """Atom of x -> value(x + t); poly(x + t) by the Taylor shift (synthetic division)."""
         t = complex(t) if isinstance(t, complex) else float(t)
-        n = len(self.poly)
-        shifted = [0j] * n
-        # binomial re-expansion of poly(x + t)
-        powers = [1.0 + 0j]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * t)
-        for k, c in enumerate(self.poly):
-            if c == 0:
-                continue
-            binom = 1
-            for j in range(k, -1, -1):
-                shifted[j] += c * binom * powers[k - j]
-                binom = binom * j // (k - j + 1) if j else binom
+        c = list(self.poly)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += t * c[j + 1]
         scalar = _e(self.alpha * t * t + self.beta * t)
-        poly = tuple(scalar * c for c in shifted)
-        return GaussianAtom(poly, self.alpha, self.beta + (self.alpha + self.alpha) * t)
+        return GaussianAtom(tuple(scalar * x for x in c), self.alpha,
+                            self.beta + (self.alpha + self.alpha) * t)
 
     def modulate(self, s) -> "GaussianAtom":
         """Multiply by e(s*x)."""

@@ -54,7 +54,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class QuadIrr:
     """Element (p + q*sqrt(D))/r of a real quadratic field (or of Q)."""
 
-    __slots__ = ("p", "q", "r", "D", "_hash", "_row")  # the last two are set on first use
+    __slots__ = ("p", "q", "r", "D", "_row")  # _row is set on first use
 
     def __init__(self, p: int, q: int, r: int, D: int):
         if r == 0:
@@ -245,15 +245,7 @@ class QuadIrr:
         return (self.p, self.q, self.r, self.D) == (o.p, o.q, o.r, o.D)
 
     def __hash__(self):
-        # computed on first use and kept: unit_phase's cache hashes the same
-        # theta on every lookup, while most intermediate values are never hashed
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        h = hash(Fraction(self.p, self.r)) if self.q == 0 else hash((self.p, self.q, self.r, self.D))
-        object.__setattr__(self, "_hash", h)
-        return h
+        return hash(Fraction(self.p, self.r)) if self.q == 0 else hash((self.p, self.q, self.r, self.D))
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -459,6 +451,10 @@ def fixing_matrix(t: QuadIrr, max_trace: int = MAX_TRACE) -> SL2Matrix:
     squareness and parity conditions exactly, so the first hit is the
     minimal-trace solution (ties, which cannot occur since k is determined by
     the trace, would be broken lexicographically on (a, b, c, d)).
+
+    The first hit needs no re-check: c = A*k > 0 as A > 0 and k >= 1; g fixes
+    t as (c, d - a, -b) = k*(A, B, C); s >= 3; and c*t + d, g's eigenvalue on
+    (t, 1), is positive, since it plus its inverse is s > 2.
     """
     if t.is_rational:
         raise ValueError("rational values are not fixed by hyperbolic matrices")
@@ -476,15 +472,7 @@ def fixing_matrix(t: QuadIrr, max_trace: int = MAX_TRACE) -> SL2Matrix:
         if (s - B * k) % 2:
             continue
         a = (s - B * k) // 2
-        cand = SL2Matrix(a, -C * k, A * k, s - a)
-        ok = (
-            cand.c > 0
-            and fixes(cand, t)
-            and (t * cand.c + cand.d).sign() > 0
-            and cand.trace > 2
-        )
-        if ok:
-            return cand
+        return SL2Matrix(a, -C * k, A * k, s - a)
     raise ValueError(f"no fixing matrix with trace <= {max_trace}")
 
 

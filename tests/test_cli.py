@@ -194,7 +194,7 @@ _MALFORMED = {
 @pytest.mark.parametrize("sub, name, where", [
     (sub, name, where) for sub, command in cli._COMMANDS.items()
     for name, opt in command.options.items()
-    for where in (("flag", "config") if opt.type else ("config",))])
+    for where in ("flag", "config")])
 def test_every_malformed_option_exits_2(tmp_path, capsys, sub, name, where):
     # generated from the option table: a malformed value exits 2 before any
     # work, from a flag or from a config file alike
@@ -285,6 +285,17 @@ def test_module_check_at_huge_tau_exits_3(capsys, tau, message):
                               "--degrees", "1")
     assert (code, out) == (3, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tau", ["0.3+25i", "0.3+30i", "0.3+100i", "0.3+200i"])
+def test_module_check_probe_fits_any_width(capsys, tau):
+    # the real Heisenberg probe's y are scaled to f_tau's width: drawn from
+    # N(0, 1) alone, a translation scaled f_tau by exp(-2 pi Im alpha y^2),
+    # which underflowed to 0 from Im tau = 25 and exited 3
+    code, out, err = _run(capsys, "module-check", "--theta", "(-5+sqrt5)/10", f"--tau={tau}",
+                          "--degrees", "1")
+    assert (code, err) == (0, "")
+    assert 0 < _report(out)[0]["heisenberg"]["real_rep_property"] < 1e-12
 
 
 @pytest.mark.parametrize("degrees", ["1", "2"])
@@ -381,9 +392,13 @@ def test_flag_overrides_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv, config", [
     (["algebra", "--theta", "sqrt2"], {"suport": 5}),
     (["ring", "--theta", "(-5+sqrt5)/10"], {"tol": 1e-3, "bogus_key": 5}),
+    (["module-check", "--theta", "(-5+sqrt5)/10"], {"max_trace": 2}),
+    (["ring", "--theta", "(-5+sqrt5)/10"], {"max_trace": 2}),
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, argv, config):
-    # a misspelt or removed option would otherwise be ignored and echoed
+    # a misspelt or removed option would otherwise be ignored and echoed;
+    # max_trace is an option of fix only (module-check and ring took it from a
+    # config alone, with no flag)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = _run(capsys, *argv, "--config", str(cfg))
@@ -401,13 +416,6 @@ def test_config_takes_every_option_of_the_subcommand(tmp_path, capsys):
     assert code == 0
     assert _report(out)[1]["config"] == {"theta": "sqrt2", "count": 2, "support": 3,
                                          "seed": 4}
-    # max_trace is a config-only option of module-check and ring; hitting the
-    # cap is a search failure, exit 3 as in fix
-    cfg.write_text(json.dumps({"theta": "(-5+sqrt5)/10", "max_trace": 2}))
-    for argv in (["module-check", "--degrees", "1"], ["ring", "--max-degree", "1"]):
-        code, _, err = _run(capsys, *argv, "--config", str(cfg))
-        assert code == 3
-        assert "no fixing matrix found" in err and "trace <= 2" in err
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -869,6 +877,18 @@ def test_theta_refusal_names_the_term_cap_and_its_cause(capsys, argv, cause):
     assert out == ""
     assert err == ("error: theta series truncation did not certify within 10000000 terms at "
                    f"{cause}\n")
+
+
+def test_ring_refuses_entries_their_bound_leaves_meaningless(capsys):
+    # at tau = 1e15+1i T(1, 1)'s certified entry bound is 1.5e34 x max|T|, and
+    # the ranks read from it were reported with exit 0; as the algebra and
+    # module-check gates do, a bound not below 1 (relative to max|T|) exits 3
+    code, out, err = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",
+                          "--tau=1e15+1i", "--max-degree", "2", "--assoc-triples", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: T(1, 1): the theta entries cannot be certified at tau = "
+                          "(1000000000000000+1j) (entry bound 1.5")
+    assert err.endswith(", max|T| 1.0)\n")
 
 
 def test_ring_wrong_matrix_for_theta(capsys):

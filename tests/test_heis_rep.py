@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rmtorus import heis_rep
 from rmtorus.heis_rep import (
@@ -51,6 +53,47 @@ def test_translate_matches_pointwise():
         g = f.translate(t)
         for x in XS:
             assert abs(g.value(x) - f.value(x + t)) < 1e-12
+
+
+def _binomial_translate(f, t):
+    """poly(x + t) by binomial re-expansion, the reference for the Taylor shift."""
+    t = complex(t) if isinstance(t, complex) else float(t)
+    n = len(f.poly)
+    shifted = [0j] * n
+    powers = [1.0 + 0j]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * t)
+    for k, c in enumerate(f.poly):
+        if c == 0:
+            continue
+        binom = 1
+        for j in range(k, -1, -1):
+            shifted[j] += c * binom * powers[k - j]
+            binom = binom * j // (k - j + 1) if j else binom
+    scalar = heis_rep._e(f.alpha * t * t + f.beta * t)
+    poly = tuple(scalar * c for c in shifted)
+    return GaussianAtom(poly, f.alpha, f.beta + (f.alpha + f.alpha) * t)
+
+
+_coefficients = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(poly=st.lists(_coefficients, min_size=1, max_size=6),
+       t=st.one_of(st.floats(-4, 4), st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                                        allow_infinity=False)))
+def test_translate_matches_the_binomial_reference(poly, t):
+    # the same atom to rounding at every degree, and the same bits at degree
+    # <= 1, the only translations module-check and the ring witness make
+    f = GaussianAtom(poly, 0.3 + 0.7j, 0.1 - 0.2j)
+    got, want = f.translate(t), _binomial_translate(f, t)
+    assert (got.alpha, got.beta, got.degree) == (want.alpha, want.beta, f.degree)
+    if f.degree <= 1:
+        assert got.poly == want.poly
+    scalar = abs(heis_rep._e(f.alpha * t * t + f.beta * t))
+    for j, (a, b) in enumerate(zip(got.poly, want.poly)):
+        size = sum(math.comb(k, j) * abs(c) * abs(t) ** (k - j)
+                   for k, c in enumerate(f.poly) if k >= j)
+        assert abs(a - b) <= 16 * len(poly) * 2.0 ** -53 * scalar * size
 
 
 def test_modulate_matches_pointwise():

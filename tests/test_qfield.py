@@ -467,13 +467,13 @@ def test_rmdata_validation():
     assert data.power(3).c == 40
 
 
-def test_cached_hash_is_unchanged():
+def test_hash_is_unchanged():
     # equal values hash equal, rationals as their Fraction and int twins, and
-    # the cached hash is the one the fields give
+    # the hash is the one the fields give
     for t in ALL_THETAS + [QuadIrr.from_rational(Fraction(-7, 3)), QuadIrr(6, 0, 4, 5),
                            QuadIrr(5, 0, 1, 2), QuadIrr(0, 0, 9, 2)]:
         want = hash(Fraction(t.p, t.r)) if t.is_rational else hash((t.p, t.q, t.r, t.D))
-        assert hash(t) == want and hash(t) == want  # computed, then cached
+        assert hash(t) == want
         assert hash(QuadIrr.parse(str(t))) == hash(t)
         if t.is_rational:
             assert t == Fraction(t.p, t.r) and hash(t) == hash(Fraction(t.p, t.r))
