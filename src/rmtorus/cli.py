@@ -23,6 +23,7 @@ import cmath
 import functools
 import json
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -264,13 +265,14 @@ def _cmd_algebra(o: dict) -> dict:
     if count * support > _MAX_ALGEBRA_DRAWS:
         raise ToleranceError(f"algebra: count*support = {count * support} exceeds the "
                              f"limit of {_MAX_ALGEBRA_DRAWS} drawn terms")
-    rng = np.random.default_rng(o["seed"])
+    rng = random.Random(o["seed"])
 
     def rand_elem():
-        keys = map(tuple, rng.integers(-6, 7, size=(support, 2)).tolist())
-        # a later draw of the same key wins
-        return TorusElement(theta, {k: complex(*c) for k, c
-                                    in zip(keys, rng.normal(size=(support, 2)).tolist())})
+        # per term: exponents uniform on [-6, 6] (6.5 (d + 1) < 13 for d < 1), then
+        # a coefficient uniform on [-1, 1)^2; a later draw of the same key wins
+        d = coord_ring.uniform(rng, 4 * support).reshape(support, 4)
+        keys = map(tuple, (np.floor(6.5 * (d[:, :2] + 1)).astype(int) - 6).tolist())
+        return TorusElement(theta, {k: complex(*c) for k, c in zip(keys, d[:, 2:].tolist())})
 
     u = TorusElement.u(theta)
     v = TorusElement.v(theta)
@@ -341,13 +343,14 @@ def _module_report(data: RMData, tau: complex, degrees: list[int]) -> tuple[dict
         checks += [(f"degrees.{n}.{key}", res[key], b) for key, b in bounds.items()]
 
     # representation property of the real Heisenberg group at epsilon on ten
-    # pairs of elements, each drawn as its phase, y1 and y2 in turn; both sides
-    # are one atom, compared by their relative L^2 distance.  Translating f by t
-    # scales it by exp(-2 pi Im alpha t^2), t = y21 or y11 + y21; the y are scaled
-    # to keep that above e^-700, a margin over the smallest normal double e^-708.4
+    # pairs of elements, each drawn as its phase's argument, y1 and y2 in turn,
+    # uniform on [-2, 2) from seed 0; both sides are one atom, compared by their
+    # relative L^2 distance.  Translating f by t scales it by exp(-2 pi Im alpha
+    # t^2), t = y21 or y11 + y21; the y are scaled to keep that above e^-700, a
+    # margin over the smallest normal double e^-708.4
     G = RealHeisenberg(float(data.epsilon))
     f = holomorphic_vector(tau, G.eps)
-    draws = np.random.default_rng(0).normal(size=(10, 6))
+    draws = 2 * coord_ring.uniform(random.Random(0), 60).reshape(10, 6)
     T = float(np.abs(np.concatenate((draws[:, 4], draws[:, 1] + draws[:, 4]))).max())
     draws[:, [1, 2, 4, 5]] *= min(1.0, math.sqrt(700 / (2 * math.pi * f.alpha.imag)) / T)
     pairs = [(G.element(cmath.exp(1j * a1), y11, y12), G.element(cmath.exp(1j * a2), y21, y22))

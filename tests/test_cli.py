@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -271,7 +272,7 @@ def test_g_takes_json_integers_only(tmp_path, capsys, theta, g, where):
                  "rounding bound inf, which is not below 1"),
     ("1e307+1i", "module residuals cannot be evaluated at tau = (1e+307+1j): math domain error"),
     ("0.3+1e-300i", "module-check heisenberg.real_rep_property: residual 1.414e+00 fails "
-                    "its rounding bound 1.663e+136, which is not below 1"),
+                    "its rounding bound 1.674e+136, which is not below 1"),
 ], ids=["nan", "domain-error", "flat-probe"])
 def test_module_check_at_huge_tau_exits_3(capsys, tau, message):
     # at 3e306+1i the phases' arguments put every rounding bound above 1 (and
@@ -543,10 +544,10 @@ def test_fix_values_match_mpmath_float():
 def test_algebra_refuses_oversized_draws_up_front(capsys, monkeypatch):
     # count*support above the draw limit exits 3 before anything is drawn; at
     # 30 us per drawn term, --support 1000000000 would otherwise run for hours
-    def no_draws(seed):
+    def no_draws(rng, n):
         raise AssertionError("drew terms for a refused job")
 
-    monkeypatch.setattr(cli.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(cli.coord_ring, "uniform", no_draws)
     for count, support in [(1, 10**9), (100, 1001), (cli._MAX_ALGEBRA_DRAWS + 1, 1)]:
         code, out, err = _run(capsys, "algebra", "--theta", "sqrt2",
                               "--count", str(count), "--support", str(support))
@@ -925,6 +926,35 @@ def test_readme_commands_exit_0(capsys):
         code, out, err = _run(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
         assert reached(_report(out)[0]), line
+
+
+def test_readme_commands_load_neither_numpy_random_nor_polynomial():
+    # every README command in one fresh interpreter: the draws come from
+    # random.Random, and numpy.random's import alone costs a job 6.5 MB of peak
+    # RSS; each module is named with the first command after which it was loaded
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.strip().startswith("rmtorus ")]
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
+    script = textwrap.dedent("""
+        import contextlib, io, json, shlex, sys
+        from rmtorus import cli
+        first = {}
+        for line in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(shlex.split(line)[1:]) == 0, line
+            for name in ("numpy.random", "numpy.polynomial"):
+                if name in sys.modules:
+                    first.setdefault(name, line)
+        print(json.dumps(first))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(lines)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {}
 
 
 def test_readme_quick_tour_runs():

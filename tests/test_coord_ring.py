@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from rmtorus.coord_ring import (
     ring_report,
     structure_tensor,
     tensor_labels,
+    uniform,
 )
 from rmtorus.heis_module import balanced_product, holomorphic_element
 from rmtorus.heis_rep import FiniteVector
@@ -580,11 +582,11 @@ def test_relation_span_matches_column_loop(panel):
 def _reference_associativity(tensors, triples, seed):
     """One triple at a time, both bracketings by explicit einsums, without mult."""
     t11, t21, t12 = (tensors[pq].tensor for pq in ((1, 1), (2, 1), (1, 2)))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     c1 = t11.shape[1]
     worst = 0.0
     for _ in range(triples):
-        u, v, w = (rng.normal(size=c1) + 1j * rng.normal(size=c1) for _ in range(3))
+        u, v, w = (re + 1j * im for re, im in uniform(rng, 6 * c1).reshape(3, 2, c1))
         lhs = np.einsum("jkl,k,l->j", t21, np.einsum("jkl,k,l->j", t11, u, v), w)
         rhs = np.einsum("jkl,k,l->j", t12, u, np.einsum("jkl,k,l->j", t11, v, w))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(rhs))),
@@ -600,6 +602,21 @@ def test_associativity_matches_mult_loop(data, triples, seed):
     got = associativity_residual(tensors, triples, seed)
     assert got == _reference_associativity(tensors, triples, seed)
     assert 0.0 < got < 1e-8
+
+
+def test_uniform_draws():
+    # the first values for seed 0, bit for bit on every platform; all on [-1, 1)
+    # and multiples of 2^-52; two calls on one Random continue one stream
+    assert uniform(random.Random(0), 4).tolist() == [
+        -0.22950938397812592, 0.7804878366915295, -0.9190312379875354, 0.9309297773330083]
+    draws = uniform(random.Random(5), 10**4)
+    assert draws.dtype == np.float64 and draws.shape == (10**4,)
+    assert np.all((-1 <= draws) & (draws < 1))
+    assert np.array_equal(draws * 2.0 ** 52, np.round(draws * 2.0 ** 52))
+    assert draws.min() < -0.99 and draws.max() > 0.99
+    rng = random.Random(5)
+    assert np.array_equal(np.concatenate((uniform(rng, 3), uniform(rng, 10**4 - 3))), draws)
+    assert uniform(rng, 0).shape == (0,)
 
 
 def test_associativity_without_triples_builds_nothing():
