@@ -36,7 +36,7 @@ from .heis_rep import RealHeisenberg, holomorphic_vector, l2_distance
 from .qfield import (MAX_TRACE, QuadIrr, RMData, SL2Matrix, cf_expand, fixing_matrix,
                      multiplier_ring)
 from .theta import theta_const, theta_fn
-from .torus_alg import TorusElement, phase
+from .torus_alg import _MAX_CELLS, TorusElement, phase
 
 
 class InputError(Exception):
@@ -209,6 +209,10 @@ _MAX_PROBE_MODULUS = 10 ** 5
 # three elements of support terms (the README command has count*support = 2,000)
 _MAX_ALGEBRA_DRAWS = 10 ** 5
 
+# algebra runs each suite step once over a chunk of rounds: its largest boxes,
+# (xy)z and x(yz) of three 13x13 boxes, hold 37x37 cells per round
+_ALGEBRA_CHUNK = _MAX_CELLS // 37 ** 2
+
 
 def _cmd_fix(o: dict) -> dict:
     data = _data_of(o)
@@ -260,49 +264,63 @@ def _algebra_bounds(support: int) -> dict:
     return {key: c * 2.0 ** -53 for key, c in units.items()}
 
 
+def _algebra_draws(theta, rng: random.Random, rounds: int, support: int) -> list:
+    """x, y and z: batches of one element per round, on the box [-6, 6]^2, drawn in one
+    call as if each round drew x, then y, then z, each of support terms.
+
+    Per term: exponents uniform on [-6, 6] (6.5 (d + 1) < 13 for d < 1), then a
+    coefficient uniform on [-1, 1)^2; a later draw of the same key wins.
+    """
+    d = coord_ring.uniform(rng, 12 * rounds * support).reshape(rounds, 3, support, 4)
+    e = np.floor(6.5 * (d[..., :2] + 1)).astype(np.int64)
+    # each term's cell of the (rounds, 3, 13, 13) boxes, in draw order; last[c] is the
+    # last term drawn into cell c
+    element = np.arange(3 * rounds).reshape(rounds, 3, 1)
+    cell = ((element * 13 + e[..., 0]) * 13 + e[..., 1]).ravel()
+    last = np.full(rounds * 3 * 169, -1)
+    np.maximum.at(last, cell, np.arange(cell.size))
+    hit = np.flatnonzero(last >= 0)
+    box = np.zeros(last.size, complex)
+    box[hit] = d[..., 2:].copy().view(complex).ravel()[last[hit]]
+    box = box.reshape(rounds, 3, 13, 13)
+    return [TorusElement.from_box(theta, (-6, -6), box[:, k]) for k in range(3)]
+
+
 def _cmd_algebra(o: dict) -> dict:
     theta, count, support = o["theta"], o["count"], o["support"]
     if count * support > _MAX_ALGEBRA_DRAWS:
         raise ToleranceError(f"algebra: count*support = {count * support} exceeds the "
                              f"limit of {_MAX_ALGEBRA_DRAWS} drawn terms")
     rng = random.Random(o["seed"])
-
-    def rand_elem():
-        # per term: exponents uniform on [-6, 6] (6.5 (d + 1) < 13 for d < 1), then
-        # a coefficient uniform on [-1, 1)^2; a later draw of the same key wins
-        d = coord_ring.uniform(rng, 4 * support).reshape(support, 4)
-        keys = map(tuple, (np.floor(6.5 * (d[:, :2] + 1)).astype(int) - 6).tolist())
-        return TorusElement(theta, {k: complex(*c) for k, c in zip(keys, d[:, 2:].tolist())})
-
     u = TorusElement.u(theta)
     v = TorusElement.v(theta)
     rel = (u * v - v.scaled(phase(theta, 1)) * u).norm1()
     res = {"uv_relation": rel, "associativity": 0.0, "star_involution": 0.0,
            "star_antimult": 0.0, "tracial": 0.0, "trace_positivity": 0.0, "leibniz": 0.0}
+
+    def worst(key, r):
+        res[key] = _nanmax(res[key], float(np.max(r)))
+
     tau = 0.3 + 1.1j
-    for _ in range(count):
-        x, y, z = rand_elem(), rand_elem(), rand_elem()
+    for start in range(0, count, _ALGEBRA_CHUNK):
+        # each step below is one call over the chunk's rounds, each residual their maximum
+        x, y, z = _algebra_draws(theta, rng, min(_ALGEBRA_CHUNK, count - start), support)
+        nx, ny, nz = x.norm1(), y.norm1(), z.norm1()
+        nxy = np.maximum(nx * ny, 1.0)
         xy = x * y
-        scale = max(x.norm1() * y.norm1() * z.norm1(), 1.0)
-        res["associativity"] = _nanmax(res["associativity"],
-                                       (xy * z - x * (y * z)).norm1() / scale)
-        res["star_involution"] = _nanmax(res["star_involution"],
-                                         (x.star().star() - x).norm1() / max(x.norm1(), 1.0))
-        res["star_antimult"] = _nanmax(res["star_antimult"],
-                                       (xy.star() - y.star() * x.star()).norm1()
-                                       / max(x.norm1() * y.norm1(), 1.0))
-        res["tracial"] = _nanmax(res["tracial"],
-                                 abs(xy.trace() - (y * x).trace())
-                                 / max(x.norm1() * y.norm1(), 1.0))
+        x_yz = x * (y * z)  # first: y * z is freed before xy * z is built
+        worst("associativity", (xy * z - x_yz).norm1() / np.maximum(nx * ny * nz, 1.0))
+        worst("star_involution", (x.star().star() - x).norm1() / np.maximum(nx, 1.0))
+        worst("star_antimult", (xy.star() - y.star() * x.star()).norm1() / nxy)
+        worst("tracial", np.abs(xy.trace() - (y * x).trace()) / nxy)
         t = (x * x.star()).trace()
-        res["trace_positivity"] = _nanmax(res["trace_positivity"],
-                                          max(-t.real, abs(t.imag)) / max(x.norm1() ** 2, 1.0))
+        worst("trace_positivity", np.maximum(-t.real, np.abs(t.imag)) / np.maximum(nx ** 2, 1.0))
         for which in ("d1", "d2", "dtau"):
             lhs = xy.derive(which, tau)
             dx, dy = x.derive(which, tau), y.derive(which, tau)
             rhs = dx * y + x * dy
-            res["leibniz"] = _nanmax(res["leibniz"], (lhs - rhs).norm1()
-                                     / max(dx.norm1() * y.norm1() + x.norm1() * dy.norm1(), 1.0))
+            scale = np.maximum(dx.norm1() * ny + nx * dy.norm1(), 1.0)
+            worst("leibniz", (lhs - rhs).norm1() / scale)
     _gate("algebra", [(key, res[key], b) for key, b in _algebra_bounds(support).items()])
     return {"theta": {"canonical": str(theta), "value": float(theta)}, "count": count,
             "support": support, "residuals": res, "max_residual": _nanmax(*res.values())}

@@ -189,8 +189,8 @@ def _apply_gen(side: str, gen: str, elem: ModuleElement) -> ModuleElement:
 def _act_monomials(side: str, a, xi: ModuleElement) -> ModuleElement:
     if isinstance(a, str):
         return _apply_gen(side, a, xi)
-    if not isinstance(a, TorusElement):
-        raise TypeError(f"{side}_act expects a generator name or a TorusElement")
+    if not isinstance(a, TorusElement) or a.a.ndim != 2:
+        raise TypeError(f"{side}_act expects a generator name or a single TorusElement")
     out = ModuleElement(xi.data, xi.degree, [])
     for (n, m), coef in a.coeffs.items():
         us = ["U" if n > 0 else "Uinv"] * abs(n)

@@ -6,9 +6,12 @@ truncation is the caller's modelling choice, not an approximation made here.
 
 The coefficients are one dense complex box: a corner ``lo = (n0, m0)`` and a
 2-D array whose cell (i, j) holds a_{n0+i, m0+j}, rows indexed by n and
-columns by m.  No operation builds an array of more than ``_MAX_CELLS`` cells;
-one that would raises ValueError, so exponents far apart are refused rather
-than stored.  Results agree with a term-by-term loop to rounding.
+columns by m.  The box may carry one leading batch axis, shape (B, rows,
+cols): B elements on one corner and box, which every operation acts on slice
+by slice in one call, each slice as it would act on that slice alone.  No
+operation builds an array of more than ``_MAX_CELLS`` cells, the batch axis
+counted; one that would raises ValueError, so exponents far apart are refused
+rather than stored.  Results agree with a term-by-term loop to rounding.
 
 Multiplication is the bilinear extension of
 
@@ -16,7 +19,8 @@ Multiplication is the bilinear extension of
 
 a twisted convolution: the right factor's rows p are scaled by
 conj(e(theta*m*p)), and each column m of the left factor is convolved with
-them along n, all columns in one batched Toeplitz matmul.  The star is
+them along n by a Toeplitz matmul, all columns in one matmul for one element
+and one matmul over the batch per column for a batch.  The star is
 a_{n,m} -> conj(a_{n,m}) * conj(e(theta*n*m)) placed at (-n,-m), the trace
 is the (0,0) coefficient, and the derivations act diagonally: delta_1 =
 2*pi*i*n, delta_2 = 2*pi*i*m, delta_tau = tau*delta_1 + delta_2.  For a QuadIrr
@@ -39,8 +43,8 @@ from .qfield import QuadIrr, conj_phase_row, unit_phase
 
 _TWO_PI_I = 2j * math.pi
 
-# cells of the largest array an operation may build (1 MiB of complex128):
-# an element's box, or the product's stack of one Toeplitz window per column
+# cells of the largest array an operation may build (1 MiB of complex128), a
+# batch's slices counted: a box, or the product's stack of Toeplitz blocks
 _MAX_CELLS = 1 << 16
 
 
@@ -55,8 +59,10 @@ class TorusElement:
     """Finitely supported series over the twisted group ring of Z^2.
 
     ``lo`` is the corner (n0, m0) of the box ``a``: a[i, j] is the coefficient
-    of U^(n0+i) V^(m0+j).  Zero is the 1x1 box at the origin.  Operations share
-    boxes; none is written after it is built.  Exponents must be integers.
+    of U^(n0+i) V^(m0+j).  Zero is the 1x1 box at the origin.  A batch of B
+    elements has a box of shape (B, rows, cols), a[k] being element k's
+    (from_box).  Operations share boxes; none is written after it is built.
+    Exponents must be integers.
     """
 
     __slots__ = ("theta", "lo", "a")
@@ -71,12 +77,26 @@ class TorusElement:
 
     @property
     def coeffs(self) -> MappingProxyType:
-        """Read-only mapping (n, m) -> complex of the nonzero cells, in sorted order."""
-        i, j = np.nonzero(self.a)
+        """Read-only mapping (n, m) -> complex of the nonzero cells, in sorted order.
+        For a batch, (n, m) -> the tuple of its B values, over the cells nonzero in some slice."""
+        a = self.a
+        i, j = np.nonzero(a if a.ndim == 2 else a.any(axis=0))
         keys = zip(map(self.lo[0].__add__, i.tolist()), map(self.lo[1].__add__, j.tolist()))
-        return MappingProxyType(dict(zip(keys, self.a[i, j].tolist())))
+        values = a[..., i, j]
+        return MappingProxyType(dict(zip(keys, values.tolist() if a.ndim == 2
+                                         else map(tuple, values.T.tolist()))))
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_box(cls, theta, lo, a) -> "TorusElement":
+        """The element with corner lo and box a (rows, cols), or the batch of B elements
+        with box a (B, rows, cols) on that corner; a is copied."""
+        a = np.array(a, complex)
+        if a.ndim not in (2, 3) or a.size == 0:
+            raise ValueError(f"a box has shape (rows, cols) or (B, rows, cols), not {a.shape}")
+        _checked(*a.shape)
+        return _element(theta, _exponents(lo), a)
 
     @classmethod
     def unit(cls, theta):
@@ -96,24 +116,34 @@ class TorusElement:
 
     # -- linear structure ---------------------------------------------------
 
-    def _check_same(self, other):
+    def _batch(self, other) -> tuple[int, ...]:
+        """The batch shape of a result of self and other: () for two elements, (B,) otherwise."""
         if other.theta != self.theta:
             raise ValueError("elements live over different twisting angles")
+        s, o = self.a.shape[:-2], other.a.shape[:-2]
+        if s and o and s != o:
+            raise ValueError(f"batches of {s[0]} and {o[0]} elements do not match")
+        return s or o
 
-    def __add__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        self._check_same(other)
+    def _combine(self, other, op) -> "TorusElement":
+        """self op other, op np.add or np.subtract, in the box that holds both."""
+        batch = self._batch(other)
         lo = (min(self.lo[0], other.lo[0]), min(self.lo[1], other.lo[1]))
-        hi = [max(x.lo[k] + x.a.shape[k] for x in (self, other)) for k in (0, 1)]
-        out = np.zeros(_checked(hi[0] - lo[0], hi[1] - lo[1]), complex)
-        for x in (self, other):
+        hi = [max(x.lo[k] + x.a.shape[k - 2] for x in (self, other)) for k in (0, 1)]
+        out = np.zeros(_checked(*batch, hi[0] - lo[0], hi[1] - lo[1]), complex)
+        for x, f in ((self, np.add), (other, op)):
             i, j = x.lo[0] - lo[0], x.lo[1] - lo[1]
-            out[i:i + x.a.shape[0], j:j + x.a.shape[1]] += x.a
+            cells = out[..., i:i + x.a.shape[-2], j:j + x.a.shape[-1]]
+            f(cells, x.a, out=cells)
         return _element(self.theta, lo, out)
 
+    def __add__(self, other):
+        return self._combine(other, np.add) if isinstance(other, TorusElement) else NotImplemented
+
     def __sub__(self, other):
-        return self + -other if isinstance(other, TorusElement) else NotImplemented
+        # in place of self + -other, which would build the negation as well
+        return (self._combine(other, np.subtract) if isinstance(other, TorusElement)
+                else NotImplemented)
 
     def __neg__(self):
         return _element(self.theta, self.lo, -self.a)
@@ -128,43 +158,58 @@ class TorusElement:
             return self.scaled(other)
         if not isinstance(other, TorusElement):
             return NotImplemented
-        self._check_same(other)
+        batch = self._batch(other)
         (n0, m0), (p0, q0) = self.lo, other.lo
         a, b = self.a, other.a
-        (na, ma), (nb, mb) = a.shape, b.shape
-        # the window and block stacks below hold ma*rows*nb and ma*rows*mb cells
-        rows = _checked(na + nb - 1, ma * max(nb, mb))[0]
-        # bm[j]: b's rows flipped, row p times conj(e(theta*m*p)) for column j's m = m0 + j
+        (na, ma), (nb, mb) = a.shape[-2:], b.shape[-2:]
+        rows = na + nb - 1
+        # one element stacks its ma blocks (windows of ma*rows*nb cells, blocks of
+        # ma*rows*mb); a batch takes one column at a time, and out is its largest array
+        _checked(*batch, rows * (ma + mb - 1) if batch else ma * rows * max(nb, mb))
+        # w[j, ::-1, None] * b[::-1]: b's rows flipped, row p times conj(e(theta*m*p))
+        # for column j's m = m0 + j
         w = _conj_phases(self.theta, m0, ma, p0, nb)
-        bm = w[:, ::-1, None] * b[::-1]
-        # pad[j] is column j of a between nb - 1 zeros on each side; its window
-        # r times bm[j] sums the pairs with n + p = n0 + p0 + r
-        pad = np.zeros((ma, na + 2 * nb - 2), complex)
-        pad[:, nb - 1:nb - 1 + na] = a.T
-        blocks = sliding_window_view(pad, nb, axis=1) @ bm
-        out = np.zeros((rows, ma + mb - 1), complex)
-        for j, block in enumerate(blocks):
-            out[:, j:j + mb] += block
+        b = b[..., ::-1, :]
+        out = np.zeros(batch + (rows, ma + mb - 1), complex)
+        # column j of a between nb - 1 zeros on each side: its window r times
+        # column j's right box sums the pairs with n + p = n0 + p0 + r
+        if batch:
+            # one column at a time: all of a batch's columns and blocks at once
+            # would hold ma times as much
+            col = np.zeros(a.shape[:-2] + (na + 2 * nb - 2,), complex)
+            windows = sliding_window_view(col, nb, axis=-1)
+            for j in range(ma):
+                col[..., nb - 1:nb - 1 + na] = a[..., j]
+                out[..., j:j + mb] += windows @ (w[j, ::-1, None] * b)
+        else:
+            pad = np.zeros((ma, na + 2 * nb - 2), complex)
+            pad[:, nb - 1:nb - 1 + na] = a.T
+            blocks = sliding_window_view(pad, nb, axis=1) @ (w[:, ::-1, None] * b)
+            for j, block in enumerate(blocks):
+                out[:, j:j + mb] += block
         return _element(self.theta, (n0 + p0, m0 + q0), out)
 
     # reached only with a left operand that is not a TorusElement: a scalar
     __rmul__ = __mul__
 
     def star(self) -> "TorusElement":
-        (n0, m0), (n, m) = self.lo, self.a.shape
+        (n0, m0), (n, m) = self.lo, self.a.shape[-2:]
         lo = (1 - n0 - n, 1 - m0 - m)
         # (-n)*(-m) = n*m: each cell's phase from its new exponents
         w = _conj_phases(self.theta, lo[0], n, lo[1], m)
-        return _element(self.theta, lo, self.a[::-1, ::-1].conj() * w)
+        return _element(self.theta, lo, self.a[..., ::-1, ::-1].conj() * w)
 
-    def trace(self) -> complex:
-        (i, j), (n, m) = (-self.lo[0], -self.lo[1]), self.a.shape
-        return complex(self.a[i, j]) if 0 <= i < n and 0 <= j < m else 0j
+    def trace(self):
+        """The (0, 0) coefficient: a complex, or an array of the B slices' for a batch."""
+        (i, j), (n, m) = (-self.lo[0], -self.lo[1]), self.a.shape[-2:]
+        inside = 0 <= i < n and 0 <= j < m
+        t = self.a[..., i, j] if inside else np.zeros(self.a.shape[:-2], complex)
+        return t.copy() if t.ndim else complex(t)
 
     def derive(self, which: str, tau: complex | None = None) -> "TorusElement":
         """Apply delta_1, delta_2 or delta_tau = tau*delta_1 + delta_2."""
-        n = float(self.lo[0]) + np.arange(self.a.shape[0])[:, None]
-        m = float(self.lo[1]) + np.arange(self.a.shape[1])
+        n = float(self.lo[0]) + np.arange(self.a.shape[-2])[:, None]
+        m = float(self.lo[1]) + np.arange(self.a.shape[-1])
         if which == "d1":
             f = _TWO_PI_I * n
         elif which == "d2":
@@ -180,26 +225,33 @@ class TorusElement:
     # -- inspection -----------------------------------------------------------
 
     def support(self):
+        """The exponents of the nonzero cells; for a batch, of the cells nonzero in some slice."""
         return set(self.coeffs)
 
-    def norm1(self) -> float:
-        return float(np.abs(self.a).sum())
+    def norm1(self):
+        """The sum of |a_{n,m}|: a float, or an array of the B slices' for a batch."""
+        s = np.abs(self.a).sum(axis=(-2, -1))
+        return s if s.ndim else float(s)
 
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             return NotImplemented
-        return self.theta == other.theta and self.coeffs == other.coeffs
+        return (self.theta == other.theta and self.a.shape[:-2] == other.a.shape[:-2]
+                and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        bits = [f"({a:.4g})U^{n}V^{m}" for (n, m), a in self.coeffs.items()]
+        bits = [f"({a:.4g})U^{n}V^{m}" if isinstance(a, complex)
+                else "(" + ", ".join(f"{c:.4g}" for c in a) + f")U^{n}V^{m}"
+                for (n, m), a in self.coeffs.items()]
         return "TorusElement(" + (" + ".join(bits) or "0") + ")"
 
 
-def _checked(rows: int, cols: int) -> tuple[int, int]:
-    """(rows, cols), or ValueError if an array that size would exceed _MAX_CELLS."""
-    if rows * cols > _MAX_CELLS:
-        raise ValueError(f"an array of {rows}x{cols} cells exceeds the cap of {_MAX_CELLS}")
-    return rows, cols
+def _checked(*shape: int) -> tuple[int, ...]:
+    """shape, or ValueError if an array that shape would exceed _MAX_CELLS cells."""
+    if math.prod(shape) > _MAX_CELLS:
+        raise ValueError(f"an array of {'x'.join(map(str, shape))} cells exceeds the cap "
+                         f"of {_MAX_CELLS}")
+    return shape
 
 
 def _element(theta, lo: tuple[int, int], a: np.ndarray) -> TorusElement:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmtorus import cli, coord_ring, heis_module, heis_rep
@@ -311,19 +313,28 @@ def test_module_check_refuses_a_vanished_probe(capsys, degrees):
 
 
 def test_algebra_nan_residual_exits_3(capsys, monkeypatch):
-    # a NaN after the first sample used to vanish in max(res, nan)
+    # a NaN after the first sample used to vanish in max(res, nan).  Each
+    # suite step now takes the traces of all rounds in one call, and a NaN in
+    # any slice of them, the first or a later one, fails the gate
     trace = TorusElement.trace
     calls = []
 
     def nan_on_the_second_call(self):
-        calls.append(1)
-        return complex("nan") if len(calls) == 2 else trace(self)
+        t = trace(self)
+        calls.append(np.shape(t))
+        if len(calls) == 2:
+            t[nan_slice] = complex("nan")
+        return t
 
     monkeypatch.setattr(TorusElement, "trace", nan_on_the_second_call)
-    code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "2", "--support", "3")
-    assert (code, out) == (3, "")
-    assert err == (f"error: algebra tracial: residual nan fails its rounding bound "
-                   f"{cli._algebra_bounds(3)['tracial']:.3e}\n")
+    for nan_slice in (1, 0):
+        calls.clear()
+        code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "2",
+                              "--support", "3")
+        assert (code, out) == (3, "")
+        assert err == (f"error: algebra tracial: residual nan fails its rounding bound "
+                       f"{cli._algebra_bounds(3)['tracial']:.3e}\n")
+        assert calls[1] == (2,)
 
 
 def test_large_radicand_is_refused_up_front(capsys):
@@ -450,14 +461,26 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
     # bound that the CLI derives (cli._algebra_bounds; E = 3(support + 2) is
     # test_torus_alg._product_bound's constant), and so does the difference
     # of the two runs
-    from test_torus_alg import _REFERENCE
+    from test_torus_alg import _REFERENCE, _slice, _stack
+
+    def per_slice(ref):
+        # a reference acts on one element, so a batch goes through it slice by slice
+        def run(*args):
+            sizes = {a.a.shape[0] for a in args if isinstance(a, TorusElement) and a.a.ndim == 3}
+            if not sizes:
+                return ref(*args)
+            (size,) = sizes
+            outs = [ref(*(_slice(a, k) if isinstance(a, TorusElement) else a for a in args))
+                    for k in range(size)]
+            return _stack(outs) if isinstance(outs[0], TorusElement) else np.array(outs)
+        return run
 
     argvs = [["algebra", "--theta", "sqrt2", "--count", "5", "--support", "30", "--seed", "3"],
              ["algebra", "--theta", "(-5+sqrt5)/10", "--count", "3", "--support", "12",
               "--seed", "8"]]
     got = [_run(capsys, *argv)[:2] for argv in argvs]
     for name, ref in _REFERENCE.items():
-        monkeypatch.setattr(TorusElement, name, ref)
+        monkeypatch.setattr(TorusElement, name, per_slice(ref))
     want = [_run(capsys, *argv)[:2] for argv in argvs]
     assert [code for code, _ in got + want] == [0, 0, 0, 0]
     for (_, out), (_, ref_out) in zip(got, want):
@@ -470,6 +493,49 @@ def test_algebra_report_matches_pair_loop_product(capsys, monkeypatch):
         for r in (rep, ref):
             assert r.pop("max_residual") == max(r.pop("residuals").values())
         assert rep == ref
+
+
+def test_algebra_draws_match_per_element_draws():
+    # one draw per chunk of rounds gives, for seed 0, the elements that one
+    # draw per element gave: x, y and z per round, each term's exponents and
+    # coefficient in turn, a later term with the same exponents winning
+    theta, support = QuadIrr.parse("sqrt2"), 20
+    sequential = random.Random(0)
+
+    def per_element():
+        d = coord_ring.uniform(sequential, 4 * support).reshape(support, 4)
+        keys = map(tuple, (np.floor(6.5 * (d[:, :2] + 1)).astype(int) - 6).tolist())
+        return TorusElement(theta, {k: complex(*c) for k, c in zip(keys, d[:, 2:].tolist())})
+
+    rng, repeated = random.Random(0), 0
+    for rounds in (5, 2):  # two chunks continue one stream
+        batches = cli._algebra_draws(theta, rng, rounds, support)
+        for k in range(rounds):
+            for batch in batches:
+                assert batch.lo == (-6, -6) and batch.a.shape == (rounds, 13, 13)
+                want = per_element()
+                repeated += len(want.coeffs) < support
+                got = TorusElement.from_box(theta, batch.lo, batch.a[k])
+                assert dict(got.coeffs) == dict(want.coeffs)
+    assert repeated > 0 and rng.getstate() == sequential.getstate()
+
+
+def test_algebra_suite_runs_in_chunks_within_the_cap(capsys, monkeypatch):
+    # the README suite's 100 rounds run in chunks of 47, whose largest boxes
+    # (47 x 37 x 37 cells) stay within torus_alg._MAX_CELLS; the job peaked at
+    # 5.5 MiB, and at 0.55 MiB when it multiplied one round at a time
+    from test_torus_alg import _peak_mib
+
+    draws, chunks = cli._algebra_draws, []
+
+    def recording(theta, rng, rounds, support):
+        chunks.append(rounds)
+        return draws(theta, rng, rounds, support)
+
+    monkeypatch.setattr(cli, "_algebra_draws", recording)
+    argv = ["algebra", "--theta", "sqrt2", "--count", "100", "--support", "20"]
+    assert _peak_mib(lambda: _run(capsys, *argv)) <= 8.0
+    assert chunks == [47, 47, 6] and cli._ALGEBRA_CHUNK * 37 ** 2 <= cli._MAX_CELLS
 
 
 def test_algebra_job_leaves_no_phase_state(capsys):
@@ -490,11 +556,18 @@ def test_algebra_job_leaves_no_phase_state(capsys):
 
 def test_algebra_gate_sees_a_small_defect(capsys, monkeypatch):
     # a star off by a relative 1e-13, which a fixed 1e-12 gate let through,
-    # is far above star_involution's bound of 6u
+    # is far above star_involution's bound of 6u; each star takes all 10 rounds
     star = TorusElement.star
-    monkeypatch.setattr(TorusElement, "star", lambda self: star(self).scaled(1 + 1e-13))
+    batches = []
+
+    def off_star(self):
+        batches.append(self.a.shape[:-2])
+        return star(self).scaled(1 + 1e-13)
+
+    monkeypatch.setattr(TorusElement, "star", off_star)
     code, out, err = _run(capsys, "algebra", "--theta", "sqrt2", "--count", "10", "--support", "20")
     assert (code, out) == (3, "")
+    assert set(batches) == {(10,)}
     what, key, residual, bound = _gate_failure(err)
     assert (what, key, bound) == ("algebra", "star_involution", float(f"{6 * 2.0 ** -53:.3e}"))
     assert 1.9e-13 < residual < 2.1e-13
@@ -811,9 +884,9 @@ def test_ring_builds_each_tensor_once(capsys, monkeypatch):
     built = []
     build = coord_ring.structure_tensor
 
-    def counting(m, n, data, tau):
+    def counting(m, n, data, tau, plan=None):
         built.append((m, n))
-        return build(m, n, data, tau)
+        return build(m, n, data, tau, plan)
 
     monkeypatch.setattr(coord_ring, "structure_tensor", counting)
     code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",

@@ -147,6 +147,17 @@ def test_torus_element_action_is_multiplicative():
         assert sup_distance(llhs, lrhs, XS) / lscale < 1e-12
 
 
+def test_action_takes_one_element():
+    # a batch of torus elements (TorusElement.from_box) acts on nothing: it
+    # used to reach GaussianAtom.scaled with a tuple of coefficients
+    xi = _probe(TEST5, 1)
+    batch = TorusElement.from_box(TEST5.theta, (0, 0), np.ones((2, 1, 1)))
+    for side in (right_act, left_act):
+        for a in (batch, 1.0):
+            with pytest.raises(TypeError, match="a generator name or a single TorusElement"):
+                side(a, xi)
+
+
 def test_left_right_actions_commute():
     for data in ALL_DATA:
         xi = _probe(data, 1)

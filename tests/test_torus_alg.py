@@ -234,17 +234,26 @@ _DENSE = [dict(zip([(n, m) for n in range(-4, 5) for m in range(-4, 5)],
           for seed in (16, 17)]
 
 
-@given(theta=st.one_of(quad_irrs, st.floats(-10, 10)), xs=supports, ys=supports,
-       dx=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-       dy=st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
-@example(theta=GOLDEN, xs={}, ys={}, dx=(0, 0), dy=(0, 0))
-@example(theta=GOLDEN, xs={}, ys={(3, -15): 1 + 2j}, dx=(0, 0), dy=(7, 9))
-@example(theta=TEST5, xs={(-7, 11): -0.5j}, ys={}, dx=(-30, 25), dy=(0, 0))
-@example(theta=GOLDEN, xs=_FAR, ys=_FAR, dx=(0, 0), dy=(0, 0))
-@example(theta=TEST5, xs=_DENSE[0], ys=_DENSE[1], dx=(0, 0), dy=(0, 0))
-@example(theta=GOLDEN, xs=_DENSE[1], ys=_DENSE[0], dx=(20, -30), dy=(-7, 11))
-@example(theta=0.3178, xs={(1, 2): 1j, (-4, 5): 2.0}, ys={(6, -6): 1.0, (0, 0): -1j},
-         dx=(0, 0), dy=(0, 0))
+def _bit_for_bit_cases(test):
+    """Two elements xs and ys shifted by dx and dy: float theta, empty operands,
+    the 2^62 monomial and dense 9x9 boxes among the examples."""
+    for ex in [
+        dict(theta=GOLDEN, xs={}, ys={}, dx=(0, 0), dy=(0, 0)),
+        dict(theta=GOLDEN, xs={}, ys={(3, -15): 1 + 2j}, dx=(0, 0), dy=(7, 9)),
+        dict(theta=TEST5, xs={(-7, 11): -0.5j}, ys={}, dx=(-30, 25), dy=(0, 0)),
+        dict(theta=GOLDEN, xs=_FAR, ys=_FAR, dx=(0, 0), dy=(0, 0)),
+        dict(theta=TEST5, xs=_DENSE[0], ys=_DENSE[1], dx=(0, 0), dy=(0, 0)),
+        dict(theta=GOLDEN, xs=_DENSE[1], ys=_DENSE[0], dx=(20, -30), dy=(-7, 11)),
+        dict(theta=0.3178, xs={(1, 2): 1j, (-4, 5): 2.0}, ys={(6, -6): 1.0, (0, 0): -1j},
+             dx=(0, 0), dy=(0, 0)),
+    ][::-1]:
+        test = example(**ex)(test)
+    shifts = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+    return given(theta=st.one_of(quad_irrs, st.floats(-10, 10)), xs=supports, ys=supports,
+                 dx=shifts, dy=shifts)(test)
+
+
+@_bit_for_bit_cases
 def test_product_and_star_bit_for_bit(theta, xs, ys, dx, dy):
     # theta's row of exact phases changes no bit of the column loop with one
     # phase() per distinct k, on grids that grow the row, that reuse it, that
@@ -257,6 +266,83 @@ def test_product_and_star_bit_for_bit(theta, xs, ys, dx, dy):
         lo, box = _distinct_star(el)
         got = el.star()
         assert got.lo == lo and np.array_equal(got.a, box)
+
+
+def _stack(elements):
+    """The batch of elements, each placed in the box that holds them all."""
+    lo = [min(e.lo[k] for e in elements) for k in (0, 1)]
+    hi = [max(e.lo[k] + e.a.shape[k] for e in elements) for k in (0, 1)]
+    a = np.zeros((len(elements), hi[0] - lo[0], hi[1] - lo[1]), complex)
+    for box, e in zip(a, elements):
+        i, j = e.lo[0] - lo[0], e.lo[1] - lo[1]
+        box[i:i + e.a.shape[0], j:j + e.a.shape[1]] = e.a
+    return TorusElement.from_box(elements[0].theta, lo, a)
+
+
+def _slice(x, k):
+    """Element k of a batch as an element of its own on the batch's box; x itself if single."""
+    return TorusElement.from_box(x.theta, x.lo, x.a[k]) if x.a.ndim == 3 else x
+
+
+@_bit_for_bit_cases
+def test_batch_acts_slice_by_slice(theta, xs, ys, dx, dy):
+    # a batch is its slices in one call: each slice of a product (batch by
+    # batch, by element and element by batch), star, sum, difference,
+    # negation, scaling, derivation, trace and norm1 is, to the bit, that of
+    # the slices alone on the same boxes.  One exception: numpy rounds a
+    # complex product that broadcasts one element against one element without
+    # the fused multiply-add of its loops.  A single element takes that path
+    # when a one-column left box scales a one-cell right box by its phase, and
+    # when a one-cell box is scaled; there the two agree to one rounding
+    tau = 0.3 + 1.1j
+
+    def scale(e):
+        return e.scaled(0.5 - 2j)
+
+    x, y = _shifted(theta, xs, dx), _shifted(theta, ys, dy)
+    X = _stack([x, scale(x), x.derive("dtau", tau)])
+    Y = _stack([y.derive("d2"), y, y.scaled(0)])
+    binary = [(operator.mul, X, Y), (operator.mul, X, y), (operator.mul, x, Y),
+              (operator.add, X, Y), (operator.sub, y, X)]
+    unary = [(op, X) for op in (TorusElement.star, operator.neg, scale,
+                                lambda e: e.derive("d1"), lambda e: e.derive("dtau", tau))]
+    for op, *args in binary + unary:
+        got = op(*args)
+        assert got.a.shape[0] == 3
+        for k in range(3):
+            slices = [_slice(a, k) for a in args]
+            want = op(*slices)
+            assert got.lo == want.lo
+            if not np.array_equal(got.a[k], want.a):
+                assert (op is operator.mul and slices[0].a.shape[1] * slices[1].a.size == 1
+                        or op is scale and slices[0].a.size == 1)
+                assert np.all(np.abs(got.a[k] - want.a) <= 4 * _U * np.abs(want.a))
+    for k in range(3):
+        assert X.trace()[k] == _slice(X, k).trace() and X.norm1()[k] == _slice(X, k).norm1()
+    assert type(X.norm1()[0]) is np.float64 and X.trace().dtype == complex
+
+
+def test_batch_inspection():
+    # coeffs maps each cell nonzero in some slice to its slices' values;
+    # support, == and repr follow it, and a box is checked when it is made
+    a = np.zeros((2, 2, 3), complex)
+    a[0, 0, 0], a[1, 1, 2] = 1.5, -2j
+    x = TorusElement.from_box(GOLDEN, (-1, 4), a)
+    assert dict(x.coeffs) == {(-1, 4): (1.5, 0j), (0, 6): (0j, -2j)}
+    assert x.support() == {(-1, 4), (0, 6)}
+    assert x == TorusElement.from_box(GOLDEN, (-1, 4), a) != _slice(x, 0)
+    assert x != TorusElement.from_box(GOLDEN, (-1, 4), a[::-1])
+    assert repr(x) == "TorusElement((1.5+0j, 0+0j)U^-1V^4 + (0+0j, -0-2j)U^0V^6)"
+    assert x.trace().tolist() == [0j, 0j] and x.norm1().tolist() == [1.5, 2.0]
+    with pytest.raises(ValueError, match="do not match"):
+        x * TorusElement.from_box(GOLDEN, (0, 0), np.ones((3, 1, 1)))
+    for bad in (np.ones(3), np.ones((2, 2, 2, 2)), np.ones((0, 2, 2))):
+        with pytest.raises(ValueError, match="a box has shape"):
+            TorusElement.from_box(GOLDEN, (0, 0), bad)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        TorusElement.from_box(GOLDEN, (0, 0), np.ones((17, 64, 64)))
+    with pytest.raises(TypeError, match="not a pair of integers"):
+        TorusElement.from_box(GOLDEN, (0.5, 0), np.ones((1, 1)))
 
 
 def _peak_mib(op) -> float:
@@ -281,6 +367,26 @@ def test_product_memory_stays_within_the_cap():
     pairs = [(box(1, 1000), box(1, 1)), (box(37, 37), box(13, 13)), (box(16, 32), box(17, 33))]
     for x, y in pairs:
         assert _peak_mib(lambda: x * y) <= 2.0
+
+
+def test_batched_product_memory_stays_within_the_cap():
+    # a batch takes one column of the left box at a time: no array exceeds
+    # _MAX_CELLS cells (1 MiB), and a product holds at most three such arrays
+    # at once, its output, one column's scaled right boxes and their blocks.
+    # The CLI's largest steps, 47 slices of 13x13 by 25x25 and of 25x25 by
+    # 13x13 boxes, peaked at 2.1 and 1.6 MiB
+    rng = np.random.default_rng(18)
+    B = _MAX_CELLS // 37 ** 2
+
+    def box(n, m):
+        return TorusElement.from_box(GOLDEN, (-(n // 2), -(m // 2)),
+                                     rng.normal(size=(B, n, m)) + 1j * rng.normal(size=(B, n, m)))
+
+    pairs = [(box(13, 13), box(13, 13)), (box(25, 25), box(13, 13)), (box(13, 13), box(25, 25))]
+    for x, y in pairs:
+        assert _peak_mib(lambda: x * y) <= 3.0
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        box(25, 25) * TorusElement.from_box(GOLDEN, (0, 0), np.ones((B, 14, 14)))
 
 
 def test_phase_row_stays_within_the_cap():
