@@ -302,9 +302,12 @@ def _cmd_algebra(o: dict) -> dict:
         res[key] = _nanmax(res[key], float(np.max(r)))
 
     tau = 0.3 + 1.1j
-    for start in range(0, count, _ALGEBRA_CHUNK):
+    # a round draws 12 doubles per term: a chunk draws at most _MAX_CELLS of
+    # them, unless one round alone draws more
+    chunk = min(_ALGEBRA_CHUNK, max(1, _MAX_CELLS // (12 * support)))
+    for start in range(0, count, chunk):
         # each step below is one call over the chunk's rounds, each residual their maximum
-        x, y, z = _algebra_draws(theta, rng, min(_ALGEBRA_CHUNK, count - start), support)
+        x, y, z = _algebra_draws(theta, rng, min(chunk, count - start), support)
         nx, ny, nz = x.norm1(), y.norm1(), z.norm1()
         nxy = np.maximum(nx * ny, 1.0)
         xy = x * y

@@ -180,9 +180,8 @@ def label_plan(m: int, n: int, data: RMData, tau: complex) -> tuple[int, int, in
     return step, den, level, N
 
 
-def structure_tensor(m: int, n: int, data: RMData, tau: complex, plan=None) -> StructureTensor:
+def structure_tensor(m: int, n: int, data: RMData, tau: complex) -> StructureTensor:
     """T(m, n) gathered from one batch of certified theta constants, one per folded label.
-    ``plan`` is label_plan(m, n, data, tau) where the caller has it already.
 
     The witness is the basis pair (0, 0), multiplied by balanced_product at
     _WITNESS_TOL: for holomorphic factors its one output term is f_{tau,m+n}
@@ -192,7 +191,7 @@ def structure_tensor(m: int, n: int, data: RMData, tau: complex, plan=None) -> S
     bound that is not below max|T|, which leaves no entry meaningful, raises
     RingRefused before the witness is built.
     """
-    step, den, level, N = plan or label_plan(m, n, data, tau)
+    step, den, level, N = label_plan(m, n, data, tau)
     mt = level * complex(tau)
     nums = np.arange(0, den // 2 + 1, step)
     values = theta_partial(nums, den, mt, N)
@@ -367,18 +366,15 @@ def _report_pairs(max_degree: int, assoc_triples: int):
 
 
 def build_tensors(data: RMData, tau: complex, pairs) -> dict:
-    """{(m, n): T(m, n)} over ``pairs``, each tensor planned and built once.
+    """{(m, n): T(m, n)} over ``pairs``, each tensor built once.
 
     Every pair passes label_plan before the first tensor is built.  ``pairs``
     is consumed lazily, so an endless one is refused (RingRefused) at the
     first pair over the budget; c_n grows with n, so that comes after a few
     degrees.
     """
-    plans = {}
-    for pair in pairs:
-        if pair not in plans:
-            plans[pair] = label_plan(*pair, data, tau)
-    return {pair: structure_tensor(*pair, data, tau, plan) for pair, plan in plans.items()}
+    plans = {pair: label_plan(*pair, data, tau) for pair in pairs}
+    return {pair: structure_tensor(*pair, data, tau) for pair in plans}
 
 
 def ring_report(data: RMData, tau: complex, max_degree: int = 3, assoc_triples: int = 20,

@@ -89,21 +89,8 @@ class GaussianAtom:
         x = np.asarray(x)
         return horner(self.poly, x) * np.exp(_TWO_PI_I * (self.alpha * x ** 2 + self.beta * x))
 
-    def _derived(self, poly: tuple, beta: complex) -> "GaussianAtom":
-        """The atom poly(x) * e(alpha*x^2 + beta*x) of this alpha, from complex
-        coefficients and a complex beta, without __init__'s checks and conversions:
-        alpha passed them when this atom was built.  Trailing zeros are trimmed."""
-        while len(poly) > 1 and poly[-1] == 0:
-            poly = poly[:-1]
-        atom = object.__new__(GaussianAtom)
-        object.__setattr__(atom, "poly", poly)
-        object.__setattr__(atom, "alpha", self.alpha)
-        object.__setattr__(atom, "beta", beta)
-        return atom
-
     def scaled(self, z) -> "GaussianAtom":
-        z = complex(z)
-        return self._derived(tuple(z * c for c in self.poly), self.beta)
+        return GaussianAtom(tuple(z * c for c in self.poly), self.alpha, self.beta)
 
     def translate(self, t) -> "GaussianAtom":
         """Atom of x -> value(x + t); poly(x + t) by the Taylor shift (synthetic division)."""
@@ -113,15 +100,15 @@ class GaussianAtom:
             for j in range(len(c) - 2, i - 1, -1):
                 c[j] += t * c[j + 1]
         scalar = _e(self.alpha * t * t + self.beta * t)
-        return self._derived(tuple(scalar * x for x in c),
-                             self.beta + (self.alpha + self.alpha) * t)
+        return GaussianAtom(tuple(scalar * x for x in c), self.alpha,
+                            self.beta + (self.alpha + self.alpha) * t)
 
     def modulate(self, s) -> "GaussianAtom":
         """Multiply by e(s*x)."""
-        return self._derived(self.poly, complex(self.beta + s))
+        return GaussianAtom(self.poly, self.alpha, self.beta + s)
 
     def times_x(self) -> "GaussianAtom":
-        return self._derived((0j,) + self.poly, self.beta)
+        return GaussianAtom((0j,) + self.poly, self.alpha, self.beta)
 
     def derivative(self) -> "GaussianAtom":
         """d/dx: p' + 2*pi*i*(2*alpha*x + beta)*p, done on coefficients."""
@@ -129,7 +116,7 @@ class GaussianAtom:
 
     def _linear_derivative(self, a) -> "GaussianAtom":
         """The atom of p' + (a*x + 2*pi*i*beta)*p: d/dx when a = 2*pi*i*2*alpha."""
-        a, b = complex(a), _TWO_PI_I * self.beta
+        b = _TWO_PI_I * self.beta
         p = self.poly
         out = []
         for j in range(len(p) + 1):
@@ -141,7 +128,7 @@ class GaussianAtom:
             if j >= 1:
                 acc += a * p[j - 1]
             out.append(acc)
-        return self._derived(tuple(out), self.beta)
+        return GaussianAtom(tuple(out), self.alpha, self.beta)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianAtom):

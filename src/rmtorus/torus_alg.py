@@ -10,8 +10,9 @@ columns by m.  The box may carry one leading batch axis, shape (B, rows,
 cols): B elements on one corner and box, which every operation acts on slice
 by slice in one call, each slice as it would act on that slice alone.  No
 operation builds an array of more than ``_MAX_CELLS`` cells, the batch axis
-counted; one that would raises ValueError, so exponents far apart are refused
-rather than stored.  Results agree with a term-by-term loop to rounding.
+counted, and no product scans more cells of windows and blocks per slice; one
+that would raises ValueError, so exponents far apart are refused rather than
+stored.  Results agree with a term-by-term loop to rounding.
 
 Multiplication is the bilinear extension of
 
@@ -19,8 +20,7 @@ Multiplication is the bilinear extension of
 
 a twisted convolution: the right factor's rows p are scaled by
 conj(e(theta*m*p)), and each column m of the left factor is convolved with
-them along n by a Toeplitz matmul, all columns in one matmul for one element
-and one matmul over the batch per column for a batch.  The star is
+them along n, one Toeplitz matmul over the batch per column.  The star is
 a_{n,m} -> conj(a_{n,m}) * conj(e(theta*n*m)) placed at (-n,-m), the trace
 is the (0,0) coefficient, and the derivations act diagonally: delta_1 =
 2*pi*i*n, delta_2 = 2*pi*i*m, delta_tau = tau*delta_1 + delta_2.  For a QuadIrr
@@ -44,7 +44,7 @@ from .qfield import QuadIrr, conj_phase_row, unit_phase
 _TWO_PI_I = 2j * math.pi
 
 # cells of the largest array an operation may build (1 MiB of complex128), a
-# batch's slices counted: a box, or the product's stack of Toeplitz blocks
+# batch's slices counted: a box, or a product's output or padded column
 _MAX_CELLS = 1 << 16
 
 
@@ -163,30 +163,24 @@ class TorusElement:
         a, b = self.a, other.a
         (na, ma), (nb, mb) = a.shape[-2:], b.shape[-2:]
         rows = na + nb - 1
-        # one element stacks its ma blocks (windows of ma*rows*nb cells, blocks of
-        # ma*rows*mb); a batch takes one column at a time, and out is its largest array
-        _checked(*batch, rows * (ma + mb - 1) if batch else ma * rows * max(nb, mb))
-        # w[j, ::-1, None] * b[::-1]: b's rows flipped, row p times conj(e(theta*m*p))
+        # the work per slice: ma columns of rows x nb windows and rows x mb blocks;
+        # the memory over the batch: out, or the padded column (rows + nb - 1 <=
+        # rows * nb cells)
+        _checked(ma, rows, max(nb, mb))
+        _checked(*batch, rows * max(nb, ma + mb - 1))
+        # w[j, ::-1, None] * b: b's rows flipped, row p times conj(e(theta*m*p))
         # for column j's m = m0 + j
         w = _conj_phases(self.theta, m0, ma, p0, nb)
         b = b[..., ::-1, :]
         out = np.zeros(batch + (rows, ma + mb - 1), complex)
         # column j of a between nb - 1 zeros on each side: its window r times
-        # column j's right box sums the pairs with n + p = n0 + p0 + r
-        if batch:
-            # one column at a time: all of a batch's columns and blocks at once
-            # would hold ma times as much
-            col = np.zeros(a.shape[:-2] + (na + 2 * nb - 2,), complex)
-            windows = sliding_window_view(col, nb, axis=-1)
-            for j in range(ma):
-                col[..., nb - 1:nb - 1 + na] = a[..., j]
-                out[..., j:j + mb] += windows @ (w[j, ::-1, None] * b)
-        else:
-            pad = np.zeros((ma, na + 2 * nb - 2), complex)
-            pad[:, nb - 1:nb - 1 + na] = a.T
-            blocks = sliding_window_view(pad, nb, axis=1) @ (w[:, ::-1, None] * b)
-            for j, block in enumerate(blocks):
-                out[:, j:j + mb] += block
+        # column j's right box sums the pairs with n + p = n0 + p0 + r.  One
+        # column at a time: all columns' blocks at once would hold ma times as much
+        col = np.zeros(a.shape[:-2] + (na + 2 * nb - 2,), complex)
+        windows = sliding_window_view(col, nb, axis=-1)
+        for j in range(ma):
+            col[..., nb - 1:nb - 1 + na] = a[..., j]
+            out[..., j:j + mb] += windows @ (w[j, ::-1, None] * b)
         return _element(self.theta, (n0 + p0, m0 + q0), out)
 
     # reached only with a left operand that is not a TorusElement: a scalar

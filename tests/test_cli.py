@@ -520,22 +520,33 @@ def test_algebra_draws_match_per_element_draws():
     assert repeated > 0 and rng.getstate() == sequential.getstate()
 
 
-def test_algebra_suite_runs_in_chunks_within_the_cap(capsys, monkeypatch):
+@pytest.mark.parametrize("count, support, peak, want", [
+    (100, 20, 8.0, [47, 47, 6]),
+    (47, cli._MAX_ALGEBRA_DRAWS // 47, 2.0, [2] * 23 + [1]),
+    (1, cli._MAX_ALGEBRA_DRAWS, 24.0, [1]),
+])
+def test_algebra_suite_runs_in_chunks_within_the_cap(capsys, monkeypatch, count, support, peak,
+                                                     want):
     # the README suite's 100 rounds run in chunks of 47, whose largest boxes
     # (47 x 37 x 37 cells) stay within torus_alg._MAX_CELLS; the job peaked at
-    # 5.5 MiB, and at 0.55 MiB when it multiplied one round at a time
+    # 5.5 MiB, and at 0.55 MiB when it multiplied one round at a time.  A
+    # chunk also draws at most _MAX_CELLS doubles (512 KiB) unless one round
+    # alone draws more: at count*support = _MAX_ALGEBRA_DRAWS, 47 rounds of
+    # 2,127 terms peaked at 1.3 MiB (0.84 MiB one element at a time), and one
+    # round of 100,000 terms at 20.6 MiB (23.4 MiB one element at a time)
     from test_torus_alg import _peak_mib
 
-    draws, chunks = cli._algebra_draws, []
+    draws, chunks, runs = cli._algebra_draws, [], []
 
     def recording(theta, rng, rounds, support):
         chunks.append(rounds)
         return draws(theta, rng, rounds, support)
 
     monkeypatch.setattr(cli, "_algebra_draws", recording)
-    argv = ["algebra", "--theta", "sqrt2", "--count", "100", "--support", "20"]
-    assert _peak_mib(lambda: _run(capsys, *argv)) <= 8.0
-    assert chunks == [47, 47, 6] and cli._ALGEBRA_CHUNK * 37 ** 2 <= cli._MAX_CELLS
+    argv = ["algebra", "--theta", "sqrt2", "--count", str(count), "--support", str(support)]
+    assert _peak_mib(lambda: runs.append(_run(capsys, *argv))) <= peak
+    assert runs[0][0] == 0 and chunks == want
+    assert cli._ALGEBRA_CHUNK * 37 ** 2 <= cli._MAX_CELLS
 
 
 def test_algebra_job_leaves_no_phase_state(capsys):
@@ -884,9 +895,9 @@ def test_ring_builds_each_tensor_once(capsys, monkeypatch):
     built = []
     build = coord_ring.structure_tensor
 
-    def counting(m, n, data, tau, plan=None):
+    def counting(m, n, data, tau):
         built.append((m, n))
-        return build(m, n, data, tau, plan)
+        return build(m, n, data, tau)
 
     monkeypatch.setattr(coord_ring, "structure_tensor", counting)
     code, out, _ = _run(capsys, "ring", "--theta", "(-5+sqrt5)/10", "--g", "[[-1,-1],[5,4]]",

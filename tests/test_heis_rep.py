@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rmtorus import heis_rep
@@ -94,39 +94,6 @@ def test_translate_matches_the_binomial_reference(poly, t):
         size = sum(math.comb(k, j) * abs(c) * abs(t) ** (k - j)
                    for k, c in enumerate(f.poly) if k >= j)
         assert abs(a - b) <= 16 * len(poly) * 2.0 ** -53 * scalar * size
-
-
-def _validated(f, op, *args):
-    """f.op(*args) with every derived atom built by the validating constructor."""
-    trusted = GaussianAtom._derived
-    GaussianAtom._derived = lambda self, poly, beta: GaussianAtom(poly, self.alpha, beta)
-    try:
-        return getattr(f, op)(*args)
-    finally:
-        GaussianAtom._derived = trusted
-
-
-_shifts = st.one_of(st.floats(-4, 4), st.complex_numbers(max_magnitude=4, allow_nan=False,
-                                                         allow_infinity=False))
-
-
-@given(poly=st.lists(_coefficients, min_size=1, max_size=6), beta=_shifts, t=_shifts,
-       s=_shifts, z=st.one_of(_coefficients, st.floats(-1e3, 1e3), st.integers(-5, 5),
-                              st.floats(-1e3, 1e3).map(np.float64)),
-       a=_coefficients)
-@example(poly=[1.0, 2j], beta=0j, t=0.0, s=0.0, z=0, a=0j)
-def test_derived_atoms_match_the_validating_constructor(poly, beta, t, s, z, a):
-    # translate, modulate, scaled, times_x and the derivative's recurrence skip
-    # __init__'s checks and conversions: each gives the atom that __init__
-    # gives from the same parts, to the bit (repr tells -0.0 from 0.0), with
-    # complex parts, numpy scalars converted, and trailing zeros trimmed
-    # (scaled(0), a = 0 at beta = 0)
-    f = GaussianAtom(poly, 0.3 + 0.7j, beta)
-    for op, args in [("translate", (t,)), ("modulate", (s,)), ("scaled", (z,)), ("times_x", ()),
-                     ("derivative", ()), ("_linear_derivative", (a,))]:
-        got, want = getattr(f, op)(*args), _validated(f, op, *args)
-        assert got == want and repr(got) == repr(want), op
-        assert all(type(c) is complex for c in (*got.poly, got.alpha, got.beta)), op
 
 
 def test_modulate_matches_pointwise():

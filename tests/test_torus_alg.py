@@ -180,6 +180,11 @@ def test_kernel_on_sparse_exponents():
     wide = TorusElement(GOLDEN, {(0, 0): 1.0, (300, 0): 2.0})
     with pytest.raises(ValueError, match="exceeds the cap"):
         wide * wide
+    # a 1x65535 output fits, but each of the 32768 columns would add a block of
+    # 32768 cells into it
+    row = TorusElement(GOLDEN, {(0, 0): 1.0, (0, 32767): 2.0})
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        row * row
     with pytest.raises(ValueError, match="exceeds the cap"):
         wide + TorusElement.monomial(GOLDEN, 0, 300)
     # one term far out is a 1x1 box: n*m overflows int64 and its phases come
@@ -202,17 +207,17 @@ def _distinct_conj_phases(theta, a0, na, b0, nb):
 
 
 def _column_loop_mul(x, y):
-    """(lo, box) of x*y by the column-loop kernel: each column of x's Toeplitz
-    block added into the output in column order, phases from the distinct k."""
+    """(lo, box) of x*y by the column-loop kernel: each column of x, padded and
+    windowed, times y's phase-scaled rows, added into the output in column
+    order, phases from the distinct k."""
     (n0, m0), (p0, q0) = x.lo, y.lo
     (na, ma), (nb, mb) = x.a.shape, y.a.shape
-    bm = _distinct_conj_phases(x.theta, m0, ma, p0, nb)[:, ::-1, None] * y.a[::-1]
-    pad = np.zeros((ma, na + 2 * nb - 2), complex)
-    pad[:, nb - 1:nb - 1 + na] = x.a.T
-    blocks = sliding_window_view(pad, nb, axis=1) @ bm
+    w = _distinct_conj_phases(x.theta, m0, ma, p0, nb)
     out = np.zeros((na + nb - 1, ma + mb - 1), complex)
-    for j, block in enumerate(blocks):
-        out[:, j:j + mb] += block
+    for j in range(ma):
+        col = np.zeros(na + 2 * nb - 2, complex)
+        col[nb - 1:nb - 1 + na] = x.a[:, j]
+        out[:, j:j + mb] += sliding_window_view(col, nb) @ (w[j, ::-1, None] * y.a[::-1])
     return (n0 + p0, m0 + q0), out
 
 
@@ -289,11 +294,7 @@ def test_batch_acts_slice_by_slice(theta, xs, ys, dx, dy):
     # a batch is its slices in one call: each slice of a product (batch by
     # batch, by element and element by batch), star, sum, difference,
     # negation, scaling, derivation, trace and norm1 is, to the bit, that of
-    # the slices alone on the same boxes.  One exception: numpy rounds a
-    # complex product that broadcasts one element against one element without
-    # the fused multiply-add of its loops.  A single element takes that path
-    # when a one-column left box scales a one-cell right box by its phase, and
-    # when a one-cell box is scaled; there the two agree to one rounding
+    # the slices alone on the same boxes
     tau = 0.3 + 1.1j
 
     def scale(e):
@@ -312,11 +313,7 @@ def test_batch_acts_slice_by_slice(theta, xs, ys, dx, dy):
         for k in range(3):
             slices = [_slice(a, k) for a in args]
             want = op(*slices)
-            assert got.lo == want.lo
-            if not np.array_equal(got.a[k], want.a):
-                assert (op is operator.mul and slices[0].a.shape[1] * slices[1].a.size == 1
-                        or op is scale and slices[0].a.size == 1)
-                assert np.all(np.abs(got.a[k] - want.a) <= 4 * _U * np.abs(want.a))
+            assert got.lo == want.lo and np.array_equal(got.a[k], want.a)
     for k in range(3):
         assert X.trace()[k] == _slice(X, k).trace() and X.norm1()[k] == _slice(X, k).norm1()
     assert type(X.norm1()[0]) is np.float64 and X.trace().dtype == complex
@@ -357,9 +354,8 @@ def _peak_mib(op) -> float:
 
 def test_product_memory_stays_within_the_cap():
     # no array of a product exceeds _MAX_CELLS cells (1 MiB), and a product
-    # peaks within twice that: a 1x1000 by 1x1 product and a 37x37 by 13x13
-    # one peaked at 0.08 and 0.56 MiB with one phase() per distinct k.  The
-    # last pair's block stack holds half the cap
+    # peaks within twice that: one column at a time, the three pairs peaked
+    # at 0.03, 0.08 and 0.09 MiB
     def box(n, m):
         return TorusElement(GOLDEN, {(i - n // 2, j - m // 2): complex(i, j)
                                      for i in range(n) for j in range(m)})
@@ -374,7 +370,9 @@ def test_batched_product_memory_stays_within_the_cap():
     # _MAX_CELLS cells (1 MiB), and a product holds at most three such arrays
     # at once, its output, one column's scaled right boxes and their blocks.
     # The CLI's largest steps, 47 slices of 13x13 by 25x25 and of 25x25 by
-    # 13x13 boxes, peaked at 2.1 and 1.6 MiB
+    # 13x13 boxes, peaked at 2.1 and 1.6 MiB.  The cap bounds each column's
+    # windows as well: a batch of one 1x1 box times a 65536x1 box, which would
+    # make a 65536x65536 matmul of windows, is refused like the single product
     rng = np.random.default_rng(18)
     B = _MAX_CELLS // 37 ** 2
 
@@ -387,6 +385,10 @@ def test_batched_product_memory_stays_within_the_cap():
         assert _peak_mib(lambda: x * y) <= 3.0
     with pytest.raises(ValueError, match="exceeds the cap"):
         box(25, 25) * TorusElement.from_box(GOLDEN, (0, 0), np.ones((B, 14, 14)))
+    tall = np.ones((1, _MAX_CELLS, 1))
+    for one, column in [(np.ones((1, 1, 1)), tall), (np.ones((1, 1)), tall[0])]:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            TorusElement.from_box(GOLDEN, (0, 0), one) * TorusElement.from_box(GOLDEN, (0, 0), column)
 
 
 def test_phase_row_stays_within_the_cap():
